@@ -168,17 +168,28 @@ func Generate(cfg Config) (*store.Store, *rdf.Schema) {
 		return resIDs[rng.Intn(len(resIDs))]
 	}
 
-	for st.Len() < cfg.Triples {
+	// Draws are deduplicated here and the store is filled with one batch, so
+	// its indexes are merged once.
+	seen := make(map[store.Triple]struct{}, cfg.Triples)
+	batch := make([]store.Triple, 0, cfg.Triples)
+	add := func(t store.Triple) {
+		if _, dup := seen[t]; !dup {
+			seen[t] = struct{}{}
+			batch = append(batch, t)
+		}
+	}
+	for len(batch) < cfg.Triples {
 		sub := pickRes()
 		switch {
 		case rng.Float64() < 0.20: // type assertion
-			st.Add(store.Triple{sub, typeID, classIDs[rng.Intn(len(classIDs))]})
+			add(store.Triple{sub, typeID, classIDs[rng.Intn(len(classIDs))]})
 		case rng.Float64() < 0.15: // literal-valued property
-			st.Add(store.Triple{sub, pickProp(), litIDs[rng.Intn(len(litIDs))]})
+			add(store.Triple{sub, pickProp(), litIDs[rng.Intn(len(litIDs))]})
 		default: // resource-valued property
-			st.Add(store.Triple{sub, pickProp(), pickRes()})
+			add(store.Triple{sub, pickProp(), pickRes()})
 		}
 	}
+	st.AddBatch(batch)
 	return st, schema
 }
 

@@ -202,17 +202,20 @@ func Figure8(sc Scale, repeats int) (Fig8Result, error) {
 }
 
 // restrictStore copies only the triples matching some atom of some query
-// (variables as wildcards), sharing the dictionary.
+// (variables as wildcards), sharing the dictionary. The matches are added as
+// one batch in scan order; duplicates across atoms are dropped there.
 func restrictStore(src *store.Store, queries []*cq.Query) *store.Store {
-	dst := store.NewWithDict(src.Dict())
+	var matched []store.Triple
 	for _, q := range queries {
 		for _, a := range q.Atoms {
 			src.Scan(stats.PatternOf(a), func(t store.Triple) bool {
-				dst.Add(t)
+				matched = append(matched, t)
 				return true
 			})
 		}
 	}
+	dst := store.NewWithDict(src.Dict())
+	dst.AddBatch(matched)
 	return dst
 }
 

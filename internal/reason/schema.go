@@ -128,26 +128,32 @@ func (s *Schema) RangePropertiesOf(c dict.ID) []dict.ID { return s.rangeProps[c]
 // subClassOf), a single pass over the explicit triples reaches the fixpoint:
 // every derived triple's own consequences are already direct consequences of
 // some explicit triple under the closed schema.
+//
+// The derived triples are inserted into the copy as one batch, in derivation
+// order (a triple already present is dropped), so each shard of the copy
+// merges its indexes once however many triples are derived.
 func Saturate(db *store.Store, s *Schema) *store.Store {
-	out := db.Clone()
+	var derived []store.Triple
 	for _, t := range db.Triples() {
 		sub, p, o := t[store.S], t[store.P], t[store.O]
 		if p == s.TypeID {
 			for _, c := range s.superClasses[o] {
-				out.Add(store.Triple{sub, s.TypeID, c})
+				derived = append(derived, store.Triple{sub, s.TypeID, c})
 			}
 			continue
 		}
 		for _, p2 := range s.superProps[p] {
-			out.Add(store.Triple{sub, p2, o})
+			derived = append(derived, store.Triple{sub, p2, o})
 		}
 		for _, c := range s.domainsOf[p] {
-			out.Add(store.Triple{sub, s.TypeID, c})
+			derived = append(derived, store.Triple{sub, s.TypeID, c})
 		}
 		for _, c := range s.rangesOf[p] {
-			out.Add(store.Triple{o, s.TypeID, c})
+			derived = append(derived, store.Triple{o, s.TypeID, c})
 		}
 	}
+	out := db.Clone()
+	out.AddBatch(derived)
 	return out
 }
 

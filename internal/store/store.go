@@ -317,7 +317,12 @@ func (st *Store) Len() int {
 }
 
 // Add inserts an encoded triple, ignoring duplicates. It reports whether the
-// triple was new. The shard's permutation indexes are updated incrementally.
+// triple was new. Each call copies the shard's six sorted overlays and
+// publishes a new snapshot, and every deltaMax (512) inserts merge all six base
+// indexes, so building a store this way costs far more than the triples
+// themselves. Bulk producers (loaders, saturation, generators) should collect
+// their triples and call AddBatch once.
+//
 // On a dual layout the triple is written to its subject shard first, then to
 // its object replica shard: the sides publish independently, so a concurrent
 // reader routed to the object side may briefly miss a triple the subject
