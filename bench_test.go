@@ -181,3 +181,29 @@ func BenchmarkAblationDFSAVFSTV(b *testing.B) {
 func BenchmarkAblationGSTR(b *testing.B) {
 	benchSearch(b, core.Options{Strategy: core.GSTR, AVF: true, STV: true, Timeout: 150 * time.Millisecond})
 }
+
+// BenchmarkRecommendPost is one recommendation of the kind a tuning session
+// repeats: 10 queries × 6 atoms over 10k generated triples and the fixed
+// schema, under post-reformulation, DFS-AVF-STV to 4000 states. The
+// database's shared statistics (the saturated-equivalent global figures)
+// are built before the timer starts; the workload's atom counts are not.
+func BenchmarkRecommendPost(b *testing.B) {
+	db := generatedDatabase(10000)
+	w := &Workload{Queries: generatedWorkload(db, 10, 6, 1000)}
+	_, provider := db.reformulatedFor(db.st.Epoch(), db.schema.Len())
+	provider.TotalTriples()
+	opts := Options{Strategy: StrategyDFS, Reasoning: ReasoningPost, MaxStates: 4000, Timeout: 2 * time.Minute}
+	created := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := db.Recommend(w, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.Result().TimedOut {
+			b.Fatal("search timed out before its state budget")
+		}
+		created += rec.Result().Counters.Created
+	}
+	b.ReportMetric(float64(created)/b.Elapsed().Seconds(), "states/s")
+}

@@ -61,6 +61,12 @@ type Options struct {
 	// exceeding it reproduces their out-of-memory failure (ErrStateBudget),
 	// for ours the search stops gracefully with the best state so far.
 	// Zero means no limit.
+	//
+	// The budget is checked before each transition. With AVF, the
+	// intermediate states of the fusion closure that follows a transition
+	// count as created too, so Created can end above MaxStates by the
+	// intermediates of the last closure: one fewer than its fusions, so at
+	// most the view count of the state it closes minus two.
 	MaxStates int
 	// Estimator is the cost function cε. Required.
 	Estimator *cost.Estimator

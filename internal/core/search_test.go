@@ -318,3 +318,49 @@ func TestStrategyString(t *testing.T) {
 		t.Error("stage names wrong")
 	}
 }
+
+// TestMaxStatesOverrunBoundedByLastAVFClosure pins the MaxStates contract
+// for the strategies that stop gracefully: the search creates the whole
+// budget, and overruns it only by the intermediates of its last AVF closure.
+//
+// Searches are deterministic, so the run with budget b repeats the run with
+// any smaller budget and then goes on. The run with budget b' = the largest
+// smaller budget that was met exactly stops right before the last closure
+// of the run with budget b; the intermediates of that closure are the AVF
+// discards between the two runs (there are no stop conditions here).
+func TestMaxStatesOverrunBoundedByLastAVFClosure(t *testing.T) {
+	_, p, est := paintersFixture(t)
+	var queries []*cq.Query
+	for _, s := range []string{
+		"q(X) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, rdf:type, painter)",
+		"q(Y) :- t(X, hasPainted, starryNight), t(X, isParentOf, Y), t(Y, hasPainted, irises)",
+		"q(X) :- t(X, isParentOf, Y), t(Y, rdf:type, painter), t(X, rdf:type, painter)",
+	} {
+		queries = append(queries, p.MustParseQuery(s))
+		p.ResetNames()
+	}
+	for _, strategy := range []Strategy{DFS, GSTR} {
+		overran := 0
+		var exact Counters // counters of the last run that met its budget exactly
+		for budget := 1; budget <= 160; budget++ {
+			res := runSearch(t, queries, Options{Strategy: strategy, AVF: true, MaxStates: budget, Estimator: est})
+			c := res.Counters
+			over := c.Created - budget
+			switch {
+			case over < 0:
+				// Both strategies outgrow 160 states on this workload.
+				t.Fatalf("%v budget %d: stopped at %d created states", strategy, budget, c.Created)
+			case over == 0:
+				exact = c
+			case over > c.Discarded-exact.Discarded:
+				t.Errorf("%v budget %d: created %d, but the last AVF closure had only %d intermediates",
+					strategy, budget, c.Created, c.Discarded-exact.Discarded)
+			default:
+				overran++
+			}
+		}
+		if overran == 0 {
+			t.Errorf("%v: no budget overran; the fixture no longer exercises the AVF slack", strategy)
+		}
+	}
+}

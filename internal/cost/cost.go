@@ -10,6 +10,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"rdfviews/internal/algebra"
@@ -61,34 +62,47 @@ type Breakdown struct {
 }
 
 // Estimator evaluates the cost function against a statistics provider.
-// View cardinalities are cached by canonical view code, since the search
-// re-encounters the same views across many states.
+//
+// Per-view estimates (cardinality and row width) are memoized at two levels.
+// The first is keyed by the identity of the view definition (*cq.Query): a
+// view costed in an earlier state costs one map lookup. This is sound under
+// the condition planCache already relies on: a view definition is never
+// mutated once created, and successor states share their predecessors'
+// definitions by pointer. The second level is keyed by canonical view code,
+// so equal definitions reached through different pointers share the
+// provider's work; it is consulted once per new definition.
 type Estimator struct {
 	Stats Stats
 	W     Weights
 
 	// mu guards the caches; SearchParallel costs states from several
 	// goroutines against one estimator.
-	mu         sync.Mutex
-	cardCache  map[string]float64
-	widthCache map[string]float64
+	mu       sync.Mutex
+	viewMemo map[*cq.Query]viewFigures
+	byCode   map[string]viewFigures
 	// planCache memoizes full plan costings by node identity. Plans are
 	// immutable and shared between a state and its successors (transitions
 	// substitute only the affected rewritings), so the cost of a new state
 	// re-walks only its changed plans. Sound because a plan tree references
-	// views by definition through the estimator's own view-code caches, and
+	// views by definition through the estimator's own view caches, and
 	// every scan's view definition is immutable once created.
 	planCache map[algebra.Plan]PlanCosting
+}
+
+// viewFigures are the memoized estimates of one view definition.
+type viewFigures struct {
+	card  float64 // |v|ε
+	width float64 // bytes per tuple
 }
 
 // NewEstimator returns an estimator with the given statistics and weights.
 func NewEstimator(stats Stats, w Weights) *Estimator {
 	return &Estimator{
-		Stats:      stats,
-		W:          w,
-		cardCache:  make(map[string]float64),
-		widthCache: make(map[string]float64),
-		planCache:  make(map[algebra.Plan]PlanCosting),
+		Stats:     stats,
+		W:         w,
+		viewMemo:  make(map[*cq.Query]viewFigures),
+		byCode:    make(map[string]viewFigures),
+		planCache: make(map[algebra.Plan]PlanCosting),
 	}
 }
 
@@ -121,52 +135,72 @@ func (e *Estimator) colDistinct(col int, size float64) float64 {
 	return math.Max(d, 1)
 }
 
+// figures returns the memoized estimates of view v, computing its canonical
+// code only the first time this definition is seen.
+func (e *Estimator) figures(v *cq.Query) viewFigures {
+	e.mu.Lock()
+	f, ok := e.viewMemo[v]
+	e.mu.Unlock()
+	if ok {
+		return f
+	}
+	code := v.CanonicalCode()
+	e.mu.Lock()
+	f, ok = e.byCode[code]
+	e.mu.Unlock()
+	if !ok {
+		f = viewFigures{card: e.cardinality(v), width: e.rowWidth(v)}
+	}
+	e.mu.Lock()
+	e.byCode[code] = f
+	e.viewMemo[v] = f
+	e.mu.Unlock()
+	return f
+}
+
 // ViewCardinality estimates |v|ε for a conjunctive view: the product of the
 // exact per-atom counts, reduced by one equi-join selectivity factor
 // 1/max(V(l), V(r)) per join edge in a spanning chain of each variable's
 // occurrences — the textbook formula of [18] under independence/uniformity.
-func (e *Estimator) ViewCardinality(v *cq.Query) float64 {
-	code := v.CanonicalCode()
-	e.mu.Lock()
-	c, ok := e.cardCache[code]
-	e.mu.Unlock()
-	if ok {
-		return c
-	}
+func (e *Estimator) ViewCardinality(v *cq.Query) float64 { return e.figures(v).card }
+
+func (e *Estimator) cardinality(v *cq.Query) float64 {
 	card := 1.0
 	atomCard := make([]float64, len(v.Atoms))
 	for i, a := range v.Atoms {
 		atomCard[i] = e.atomPatternCount(a)
 		card *= atomCard[i]
 	}
-	// Occurrences per variable across atoms.
-	type occ struct {
-		atom, col int
-	}
-	occs := make(map[cq.Term][]occ)
-	for i, a := range v.Atoms {
-		seen := map[cq.Term]bool{}
+	// Chain each variable's occurrences in atom order (its first column in
+	// each atom). Variables are taken in order of first occurrence, so the
+	// divisions, and with them the estimate's last bits, are deterministic.
+	var varBuf [16]cq.Term
+	vars := varBuf[:0]
+	for _, a := range v.Atoms {
 		for c := 0; c < 3; c++ {
-			if a[c].IsVar() && !seen[a[c]] {
-				seen[a[c]] = true
-				occs[a[c]] = append(occs[a[c]], occ{i, c})
+			if a[c].IsVar() && !slices.Contains(vars, a[c]) {
+				vars = append(vars, a[c])
 			}
 		}
 	}
-	for _, os := range occs {
-		for k := 1; k < len(os); k++ {
-			l, r := os[k-1], os[k]
-			vl := e.colDistinct(l.col, atomCard[l.atom])
-			vr := e.colDistinct(r.col, atomCard[r.atom])
-			card /= math.Max(vl, vr)
+	for _, x := range vars {
+		prevAtom, prevCol := -1, 0
+		for i, a := range v.Atoms {
+			col := slices.Index(a[:], x)
+			if col < 0 {
+				continue
+			}
+			if prevAtom >= 0 {
+				vl := e.colDistinct(prevCol, atomCard[prevAtom])
+				vr := e.colDistinct(col, atomCard[i])
+				card /= math.Max(vl, vr)
+			}
+			prevAtom, prevCol = i, col
 		}
 	}
 	if card < 0 {
 		card = 0
 	}
-	e.mu.Lock()
-	e.cardCache[code] = card
-	e.mu.Unlock()
 	return card
 }
 
@@ -174,21 +208,13 @@ func (e *Estimator) ViewCardinality(v *cq.Query) float64 {
 // over head terms of the average width of the triple-table column the term
 // first occurs in (Section 3.3's "average size of a subject, property,
 // respectively object").
-func (e *Estimator) ViewRowWidth(v *cq.Query) float64 {
-	code := v.CanonicalCode()
-	e.mu.Lock()
-	w, ok := e.widthCache[code]
-	e.mu.Unlock()
-	if ok {
-		return w
-	}
+func (e *Estimator) ViewRowWidth(v *cq.Query) float64 { return e.figures(v).width }
+
+func (e *Estimator) rowWidth(v *cq.Query) float64 {
 	width := 0.0
 	for _, h := range v.Head {
 		width += e.Stats.AvgWidth(firstBodyColumn(v, h))
 	}
-	e.mu.Lock()
-	e.widthCache[code] = width
-	e.mu.Unlock()
 	return width
 }
 
@@ -207,23 +233,38 @@ func firstBodyColumn(v *cq.Query, h cq.Term) int {
 
 // ViewSpace estimates the space occupancy of one view: |v|ε × row width.
 func (e *Estimator) ViewSpace(v *cq.Query) float64 {
-	return e.ViewCardinality(v) * e.ViewRowWidth(v)
+	f := e.figures(v)
+	return f.card * f.width
+}
+
+// viewOrder returns the IDs of views in increasing order, appended to buf.
+// Summing in this order makes VSO and VMC, and so every state cost, repeat
+// bit for bit; a caller-provided stack array keeps the common case free of
+// heap allocation.
+func viewOrder(views map[algebra.ViewID]*cq.Query, buf []algebra.ViewID) []algebra.ViewID {
+	for id := range views {
+		buf = append(buf, id)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // VSO sums view space over the view set.
 func (e *Estimator) VSO(views map[algebra.ViewID]*cq.Query) float64 {
+	var buf [64]algebra.ViewID
 	total := 0.0
-	for _, v := range views {
-		total += e.ViewSpace(v)
+	for _, id := range viewOrder(views, buf[:0]) {
+		total += e.ViewSpace(views[id])
 	}
 	return total
 }
 
 // VMC is the view maintenance cost Σ_v f^len(v) (Section 3.3).
 func (e *Estimator) VMC(views map[algebra.ViewID]*cq.Query) float64 {
+	var buf [64]algebra.ViewID
 	total := 0.0
-	for _, v := range views {
-		total += math.Pow(e.W.F, float64(v.Len()))
+	for _, id := range viewOrder(views, buf[:0]) {
+		total += math.Pow(e.W.F, float64(views[id].Len()))
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"rdfviews/internal/algebra"
@@ -188,3 +189,65 @@ func TestDefaultWeights(t *testing.T) {
 }
 
 var _ = dict.New // keep dict linked for helper parity with other tests
+
+// primeStats makes every estimate a chain of divisions by different primes,
+// so the estimate's last bits depend on the order of the divisions.
+type primeStats struct{}
+
+func (primeStats) AtomCount(a cq.Atom) float64 {
+	n := 1000003.0
+	for _, t := range a {
+		if t.IsConst() {
+			n /= float64(t) + 0.5
+		}
+	}
+	return n
+}
+func (primeStats) TotalTriples() float64         { return 1000003 }
+func (primeStats) DistinctCount(col int) float64 { return [3]float64{13, 17, 19}[col] }
+func (primeStats) AvgWidth(col int) float64      { return [3]float64{1.1, 2.3, 3.7}[col] }
+
+// TestEstimatesRepeatBitForBit costs the same views and plans with many
+// fresh estimators. Every estimate divides by several join selectivities
+// and sums over several views; none may depend on map iteration order.
+func TestEstimatesRepeatBitForBit(t *testing.T) {
+	x, y, z, w, u := cq.Var(1), cq.Var(2), cq.Var(3), cq.Var(4), cq.Var(5)
+	// Join variables in different columns: X (s, s), Y (p, p), Z (o, s).
+	v1 := &cq.Query{Head: []cq.Term{x, y, z}, Atoms: []cq.Atom{
+		{x, y, z}, {x, y, cq.Const(5)}, {z, cq.Const(6), w},
+	}}
+	v2 := &cq.Query{Head: []cq.Term{x, y, z}, Atoms: []cq.Atom{{x, y, z}, {z, cq.Const(9), u}}}
+	v3 := &cq.Query{Head: []cq.Term{u, x}, Atoms: []cq.Atom{{u, cq.Const(7), x}}}
+	v4 := &cq.Query{Head: []cq.Term{z}, Atoms: []cq.Atom{{z, cq.Const(11), cq.Const(13)}}}
+	views := map[algebra.ViewID]*cq.Query{1: v1, 2: v2, 3: v3, 4: v4}
+	// Single-atom views of assorted sizes make the space sum order-sensitive.
+	for i, c := range []int{17, 23, 29, 31, 37, 41} {
+		views[algebra.ViewID(5+i)] = &cq.Query{Head: []cq.Term{x, y}, Atoms: []cq.Atom{{x, cq.Const(dict.ID(c)), y}}}
+	}
+	// The join shares three labels, each with its own distinct count.
+	plans := []algebra.Plan{
+		algebra.NewJoin(algebra.NewScan(1, v1.Head), algebra.NewScan(2, v2.Head)),
+		algebra.NewJoin(algebra.NewScan(3, v3.Head), algebra.NewScan(4, v4.Head)),
+	}
+	var first Breakdown
+	var firstCard, firstJoin float64
+	for i := 0; i < 200; i++ {
+		e := NewEstimator(primeStats{}, DefaultWeights())
+		card := e.ViewCardinality(v1)
+		join := e.PlanCost(plans[0], views).Card
+		b := e.CostState(views, plans)
+		if i == 0 {
+			first, firstCard, firstJoin = b, card, join
+			continue
+		}
+		if math.Float64bits(card) != math.Float64bits(firstCard) {
+			t.Fatalf("run %d: |v1| = %v, first run %v", i, card, firstCard)
+		}
+		if math.Float64bits(join) != math.Float64bits(firstJoin) {
+			t.Fatalf("run %d: |v1 ⋈ v2| = %v, first run %v", i, join, firstJoin)
+		}
+		if b != first {
+			t.Fatalf("run %d: breakdown %+v, first run %+v", i, b, first)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	"rdfviews/internal/algebra"
 	"rdfviews/internal/cq"
@@ -178,14 +179,18 @@ func (e *Estimator) joinCost(n *algebra.Join, views map[algebra.ViewID]*cq.Query
 	l := e.PlanCost(n.Left, views)
 	r := e.PlanCost(n.Right, views)
 	card := l.Card * r.Card
-	// Natural-join keys: labels present on both sides.
-	for label, li := range l.cols {
-		if !label.IsVar() {
-			continue
+	// Natural-join keys: labels present on both sides, taken in label order
+	// so the divisions, and the estimate's last bits, are deterministic.
+	var keyBuf [16]cq.Term
+	keys := keyBuf[:0]
+	for label := range l.cols {
+		if _, ok := r.cols[label]; ok && label.IsVar() {
+			keys = append(keys, label)
 		}
-		if ri, ok := r.cols[label]; ok {
-			card /= math.Max(math.Max(li.distinct, ri.distinct), 1)
-		}
+	}
+	slices.Sort(keys)
+	for _, label := range keys {
+		card /= math.Max(math.Max(l.cols[label].distinct, r.cols[label].distinct), 1)
 	}
 	// Explicit cross conditions (Join Cut's ⊳⊲e).
 	for _, c := range n.Conds {

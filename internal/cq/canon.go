@@ -1,9 +1,9 @@
 package cq
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Canonical codes: a string representation invariant under variable renaming
@@ -51,12 +51,22 @@ func atomLess(a, b Atom) bool {
 }
 
 type canonCtx struct {
-	q        *Query
-	used     []bool
-	varNum   map[Term]int
-	assigned []Term // assignment order; varNum[assigned[i]] == i+1
+	q    *Query
+	used []bool
+	// assigned lists the numbered variables in numbering order: variable
+	// assigned[i] carries number i+1. Views have few variables, so lookups
+	// scan this slice instead of keeping a map.
+	assigned []Term
 
-	parts []string
+	// body holds the codes of the atoms emitted so far. Each recursion
+	// level appends its chosen atom code and truncates it away on return.
+	body []byte
+	// cands stacks the tied candidate atoms of every recursion level.
+	cands []int
+	// scratch is the serialization buffer of one atom or of a full code.
+	scratch []byte
+	// toks holds the [start, end) offsets of head tokens inside scratch.
+	toks [][2]int
 
 	bestBody string // best body code found so far ("" = none)
 	bestFull string // bestBody + head suffix
@@ -64,146 +74,170 @@ type canonCtx struct {
 }
 
 func canonicalize(q *Query) (string, map[Term]Term) {
-	ctx := &canonCtx{
-		q:      q,
-		used:   make([]bool, len(q.Atoms)),
-		varNum: make(map[Term]int),
-	}
-	ctx.rec()
+	ctx := &canonCtx{q: q, used: make([]bool, len(q.Atoms))}
+	ctx.rec(0)
 	return ctx.bestFull, ctx.bestMap
 }
 
-// serializeAtom renders atom ai under the current numbering, assigning
+// num returns the committed number of variable t.
+func (c *canonCtx) num(t Term) (int, bool) {
+	for i, a := range c.assigned {
+		if a == t {
+			return i + 1, true
+		}
+	}
+	return 0, false
+}
+
+// appendAtom renders atom ai under the current numbering, assigning
 // temporary numbers (without committing) to unseen variables in position
-// order. It returns the code and how many fresh variables it would assign.
-func (c *canonCtx) serializeAtom(ai int) string {
+// order, and appends the code to dst.
+func (c *canonCtx) appendAtom(dst []byte, ai int) []byte {
 	a := c.q.Atoms[ai]
 	next := len(c.assigned) + 1
-	tmp := make(map[Term]int, 3)
-	var sb strings.Builder
-	sb.WriteByte('(')
+	var fresh [3]Term // fresh[i] takes number next+i
+	nf := 0
+	dst = append(dst, '(')
 	for p := 0; p < 3; p++ {
 		if p > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		t := a[p]
 		if t.IsConst() {
-			fmt.Fprintf(&sb, "#%d", int64(t))
+			dst = append(dst, '#')
+			dst = strconv.AppendInt(dst, int64(t), 10)
 			continue
 		}
-		n, ok := c.varNum[t]
-		if !ok {
-			n, ok = tmp[t]
-			if !ok {
-				n = next
-				next++
-				tmp[t] = n
+		n, ok := c.num(t)
+		for i := 0; !ok && i < nf; i++ {
+			if fresh[i] == t {
+				n, ok = next+i, true
 			}
 		}
-		fmt.Fprintf(&sb, "?%d", n)
+		if !ok {
+			fresh[nf] = t
+			n = next + nf
+			nf++
+		}
+		dst = append(dst, '?')
+		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return append(dst, ')')
 }
 
-func (c *canonCtx) rec() {
-	if len(c.parts) == len(c.q.Atoms) {
-		body := strings.Join(c.parts, "")
-		if c.bestBody != "" && body > c.bestBody {
-			return
-		}
-		full := body + c.headSuffix()
-		if c.bestBody == "" || body < c.bestBody || (body == c.bestBody && full < c.bestFull) {
-			c.bestBody, c.bestFull = body, full
-			m := make(map[Term]Term, len(c.varNum))
-			for v, n := range c.varNum {
-				m[v] = Var(n)
-			}
-			c.bestMap = m
-		}
+// rec emits the depth-th atom: it finds the minimal next-atom code among the
+// unused atoms and branches over the atoms that tie for it.
+func (c *canonCtx) rec(depth int) {
+	if depth == len(c.q.Atoms) {
+		c.leaf()
 		return
 	}
-	// Find the minimal next-atom code among unused atoms.
-	minCode := ""
-	var cands []int
+	mark := len(c.body)
+	base := len(c.cands)
 	for ai := range c.q.Atoms {
 		if c.used[ai] {
 			continue
 		}
-		code := c.serializeAtom(ai)
-		switch {
-		case minCode == "" || code < minCode:
-			minCode = code
-			cands = cands[:0]
-			cands = append(cands, ai)
-		case code == minCode:
-			cands = append(cands, ai)
+		c.scratch = c.appendAtom(c.scratch[:0], ai)
+		switch cmp := bytes.Compare(c.scratch, c.body[mark:]); {
+		case len(c.cands) == base || cmp < 0:
+			c.body = append(c.body[:mark], c.scratch...)
+			c.cands = append(c.cands[:base], ai)
+		case cmp == 0:
+			c.cands = append(c.cands, ai)
 		}
 	}
+	end := len(c.body)
+	top := len(c.cands)
 	// Prefix bound: if the body built so far plus the next code is already
 	// lexicographically above the best body on the comparable prefix, no
 	// completion can win. (Codes are prefix-free, so this is sound.)
 	if c.bestBody != "" {
-		prefix := strings.Join(c.parts, "") + minCode
-		l := len(prefix)
-		if len(c.bestBody) < l {
-			l = len(c.bestBody)
-		}
-		if prefix[:l] > c.bestBody[:l] {
+		l := min(end, len(c.bestBody))
+		if string(c.body[:l]) > c.bestBody[:l] {
+			c.body, c.cands = c.body[:mark], c.cands[:base]
 			return
 		}
 	}
-	for _, ai := range cands {
+	for i := base; i < top; i++ {
+		ai := c.cands[i]
 		// Commit: assign numbers to the atom's unseen vars in position order.
-		var fresh []Term
+		before := len(c.assigned)
 		for p := 0; p < 3; p++ {
 			t := c.q.Atoms[ai][p]
 			if t.IsVar() {
-				if _, ok := c.varNum[t]; !ok {
+				if _, ok := c.num(t); !ok {
 					c.assigned = append(c.assigned, t)
-					c.varNum[t] = len(c.assigned)
-					fresh = append(fresh, t)
 				}
 			}
 		}
 		c.used[ai] = true
-		c.parts = append(c.parts, minCode)
-		c.rec()
-		c.parts = c.parts[:len(c.parts)-1]
+		c.rec(depth + 1)
+		c.body = c.body[:end]
 		c.used[ai] = false
-		for _, t := range fresh {
-			delete(c.varNum, t)
+		c.assigned = c.assigned[:before]
+	}
+	c.body, c.cands = c.body[:mark], c.cands[:base]
+}
+
+// leaf scores a complete atom order against the best code so far.
+func (c *canonCtx) leaf() {
+	if c.bestBody != "" && string(c.body) > c.bestBody {
+		return
+	}
+	c.scratch = c.appendHead(append(c.scratch[:0], c.body...))
+	if c.bestBody == "" || string(c.body) < c.bestBody ||
+		(string(c.body) == c.bestBody && string(c.scratch) < c.bestFull) {
+		c.bestBody, c.bestFull = string(c.body), string(c.scratch)
+		m := make(map[Term]Term, len(c.assigned))
+		for i, v := range c.assigned {
+			m[v] = Var(i + 1)
 		}
-		c.assigned = c.assigned[:len(c.assigned)-len(fresh)]
+		c.bestMap = m
 	}
 }
 
-// headSuffix serializes the head as a sorted set under the final numbering.
-// Heads are treated as sets here: two views differing only in head column
-// order denote the same stored relation.
-func (c *canonCtx) headSuffix() string {
-	toks := make([]string, 0, len(c.q.Head))
-	seen := make(map[string]struct{}, len(c.q.Head))
+// appendHead appends the head, serialized as a sorted set under the final
+// numbering. Heads are treated as sets here: two views differing only in
+// head column order denote the same stored relation. Tokens sort as
+// strings ("?10" before "?2").
+func (c *canonCtx) appendHead(dst []byte) []byte {
+	dst = append(dst, "H["...)
+	start := len(dst)
+	c.toks = c.toks[:0]
 	for _, t := range c.q.Head {
-		var s string
-		if t.IsConst() {
-			s = fmt.Sprintf("#%d", int64(t))
-		} else {
-			n, ok := c.varNum[t]
-			if !ok {
-				// Head variable not in body: Validate rejects this, but keep
-				// the code total rather than panicking mid-search.
-				s = "?free"
-			} else {
-				s = fmt.Sprintf("?%d", n)
-			}
+		from := len(dst)
+		switch n, ok := c.num(t); {
+		case t.IsConst():
+			dst = strconv.AppendInt(append(dst, '#'), int64(t), 10)
+		case ok:
+			dst = strconv.AppendInt(append(dst, '?'), int64(n), 10)
+		default:
+			// Head variable not in body: Validate rejects this, but keep
+			// the code total rather than panicking mid-search.
+			dst = append(dst, "?free"...)
 		}
-		if _, dup := seen[s]; dup {
+		c.toks = append(c.toks, [2]int{from, len(dst)})
+	}
+	tok := func(i int) []byte { return dst[c.toks[i][0]:c.toks[i][1]] }
+	// Insertion sort: heads are a handful of columns.
+	for i := 1; i < len(c.toks); i++ {
+		for j := i; j > 0 && bytes.Compare(tok(j), tok(j-1)) < 0; j-- {
+			c.toks[j], c.toks[j-1] = c.toks[j-1], c.toks[j]
+		}
+	}
+	// Re-emit the sorted, deduplicated tokens after the unsorted ones, then
+	// move them down over the unsorted ones.
+	out := len(dst)
+	for i := range c.toks {
+		if i > 0 && bytes.Equal(tok(i), tok(i-1)) {
 			continue
 		}
-		seen[s] = struct{}{}
-		toks = append(toks, s)
+		if len(dst) > out {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, tok(i)...)
 	}
-	sort.Strings(toks)
-	return "H[" + strings.Join(toks, ",") + "]"
+	dst = append(dst[:start], dst[out:]...)
+	return append(dst, ']')
 }

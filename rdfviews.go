@@ -92,12 +92,16 @@ type Database struct {
 	serveOnce  sync.Once
 	serveCache *plancache.Cache
 
-	// Saturated-copy cache for ReasoningSaturate, pinned to the (store epoch,
-	// schema size) it was computed from.
-	satMu        sync.Mutex
-	satStore     *store.Store
-	satEpoch     uint64
-	satSchemaLen int
+	// Derived-state cache (serve.go): what the database computes from its
+	// data and schema alone. It holds the encoded schema, the saturated copy
+	// Answer reads under ReasoningSaturate, and the post-reformulation
+	// statistics Recommend costs views with under ReasoningPost. Each part
+	// is built on first use. The cache is pinned to the (store epoch, schema
+	// size) it was computed from. Every store write advances the epoch and
+	// every new schema statement grows the append-only schema, so either
+	// drops the whole cache at its next use.
+	derivedMu sync.Mutex
+	derived   derivedState
 }
 
 // NewDatabase returns an empty database with an empty schema, backed by a

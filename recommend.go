@@ -278,19 +278,22 @@ func (db *Database) Recommend(w *Workload, opts Options) (*Recommendation, error
 	if err != nil {
 		return nil, err
 	}
-	schema := reason.NewSchema(db.schema, db.st.Dict())
-
-	// Statistics and materialization store per reasoning mode.
+	// Statistics and materialization store per reasoning mode. Under
+	// saturation the recommendation gets its own saturated copy: live
+	// maintenance writes to it.
+	var schema *reason.Schema
 	var provider cost.Stats
 	matStore := db.st
 	switch mode {
 	case ReasoningNone, ReasoningPre:
+		schema = reason.NewSchema(db.schema, db.st.Dict())
 		provider = stats.NewStoreStats(db.st)
 	case ReasoningSaturate:
+		schema = reason.NewSchema(db.schema, db.st.Dict())
 		matStore = reason.Saturate(db.st, schema)
 		provider = stats.NewStoreStats(matStore)
 	case ReasoningPost:
-		provider = stats.NewReformulatedStats(db.st, schema)
+		schema, provider = db.reformulatedFor(db.st.Epoch(), db.schema.Len())
 	default:
 		return nil, fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 	}

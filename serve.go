@@ -756,19 +756,52 @@ func dbModeTag(mode Reasoning) (string, error) {
 	return "", fmt.Errorf("rdfviews: unknown reasoning mode %q", mode)
 }
 
+// derivedState is the derived-state cache of a Database: values computed
+// from one (store epoch, schema size) pin, each built on first use.
+type derivedState struct {
+	epoch     uint64
+	schemaLen int
+	schema    *reason.Schema // nil: the cache is empty
+	sat       *store.Store
+	reform    *stats.ReformulatedStats
+}
+
+// derivedLocked returns the cache for the (epoch, schemaLen) pin, emptying
+// it first when either moved. db.derivedMu must be held.
+func (db *Database) derivedLocked(epoch uint64, schemaLen int) *derivedState {
+	d := &db.derived
+	if d.schema == nil || d.epoch != epoch || d.schemaLen != schemaLen {
+		*d = derivedState{epoch: epoch, schemaLen: schemaLen,
+			schema: reason.NewSchema(db.schema, db.st.Dict())}
+	}
+	return d
+}
+
 // saturatedFor returns the saturated copy of the store for the current
 // (epoch, schema) state, rebuilding it only when either moved — Answer under
 // ReasoningSaturate used to re-saturate on every call.
 func (db *Database) saturatedFor(epoch uint64, schemaLen int) *store.Store {
-	db.satMu.Lock()
-	defer db.satMu.Unlock()
-	if db.satStore == nil || db.satEpoch != epoch || db.satSchemaLen != schemaLen {
-		schema := reason.NewSchema(db.schema, db.st.Dict())
-		db.satStore = reason.Saturate(db.st, schema)
-		db.satEpoch = epoch
-		db.satSchemaLen = schemaLen
+	db.derivedMu.Lock()
+	defer db.derivedMu.Unlock()
+	d := db.derivedLocked(epoch, schemaLen)
+	if d.sat == nil {
+		d.sat = reason.Saturate(db.st, d.schema)
 	}
-	return db.satStore
+	return d.sat
+}
+
+// reformulatedFor returns the encoded schema and the post-reformulation
+// statistics for the current (epoch, schema) state. Recommendations over an
+// unchanged database share one provider, and with it the atom counts and
+// global figures earlier searches computed.
+func (db *Database) reformulatedFor(epoch uint64, schemaLen int) (*reason.Schema, *stats.ReformulatedStats) {
+	db.derivedMu.Lock()
+	defer db.derivedMu.Unlock()
+	d := db.derivedLocked(epoch, schemaLen)
+	if d.reform == nil {
+		d.reform = stats.NewReformulatedStats(db.st, d.schema)
+	}
+	return d.schema, d.reform
 }
 
 // answerCached evaluates q on the database under the reasoning mode through
