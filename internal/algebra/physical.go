@@ -28,10 +28,10 @@ type PhysNode struct {
 	// DOP is the operator's degree of parallelism: the number of worker
 	// streams an exchange operator (Gather) fans out over. 0 means serial.
 	DOP int
-	// Batch is the operator's batch size under vectorized execution: the
-	// number of rows per column batch at the dataflow points where batching
-	// is a real knob (scan leaves decoding the batches, exchanges handing
-	// them between goroutines). 0 means row-at-a-time.
+	// Batch is the operator's batch size: the number of rows per column
+	// batch at the dataflow points where batching is a real knob (scan
+	// leaves decoding the batches, exchanges handing them between
+	// goroutines). 0 means the node carries no batching knob.
 	Batch int
 	// Children are the input operators, left to right.
 	Children []*PhysNode

@@ -9,6 +9,7 @@ import (
 	"rdfviews/internal/cq"
 	"rdfviews/internal/engine"
 	"rdfviews/internal/rdf"
+	"rdfviews/internal/reason"
 	"rdfviews/internal/stats"
 	"rdfviews/internal/store"
 )
@@ -40,6 +41,18 @@ u6 rdf:type painter .
 // of Definition 2.2, which every transition must preserve.
 func checkStateAnswers(t *testing.T, st *store.Store, s *State, queries []*cq.Query) {
 	t.Helper()
+	checkStateAnswersOver(t, st, st, s, queries)
+}
+
+// checkStateAnswersOver is checkStateAnswers with the query answers taken
+// over oracleSt — the saturated store for pre-reformulation states, whose
+// views are unions of reformulation terms over the original st (Theorem
+// 4.2). The oracle is the index-nested-loop evaluator, which shares no
+// operator code with the materializations or the rewriting executor. Row
+// counts must match too: Execute promises distinct rows, and EqualAsSet
+// ignores duplicates.
+func checkStateAnswersOver(t *testing.T, st, oracleSt *store.Store, s *State, queries []*cq.Query) {
+	t.Helper()
 	mats := make(map[algebra.ViewID]*engine.Relation, len(s.Views))
 	for id, v := range s.Views {
 		r, err := engine.Materialize(st, v.Q)
@@ -54,11 +67,11 @@ func checkStateAnswers(t *testing.T, st *store.Store, s *State, queries []*cq.Qu
 		if err != nil {
 			t.Fatalf("execute plan %d (%s): %v\nstate:\n%s", i, plan, err, s.Format())
 		}
-		want, err := engine.EvalQuery(st, queries[i])
+		want, err := engine.EvalQueryINL(oracleSt, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.EqualAsSet(want) {
+		if got.Len() != want.Len() || !got.EqualAsSet(want) {
 			t.Fatalf("plan %d not equivalent to query:\nplan: %s\ngot %d rows, want %d\nstate:\n%s",
 				i, plan, got.Len(), want.Len(), s.Format())
 		}
@@ -367,6 +380,72 @@ func TestTransitionsPreserveRewritingEquivalence(t *testing.T) {
 			}
 			cur = succ[rng.Intn(len(succ))]
 			checkStateAnswers(t, st, cur, queries)
+		}
+	}
+}
+
+// TestPreReformulationStatesPreserveRewritingEquivalence covers the union
+// rewritings of pre-reformulation (Section 4.3): the initial state's plans
+// are unions of scans, one per reformulation term, and transitions rewrite
+// inside the branches. Every state of a short random walk must answer each
+// query exactly like the query over the saturated store. Some hasCreated and
+// artist facts are also stated explicitly, so union branches overlap and a
+// union that failed to deduplicate would return extra rows.
+func TestPreReformulationStatesPreserveRewritingEquivalence(t *testing.T) {
+	st, p, _ := paintersFixture(t)
+	st.MustAddGraph(rdf.MustParse(`
+u1 hasCreated starryNight .
+u2 hasCreated irises .
+u4 hasCreated sketch .
+u6 rdf:type artist .
+`))
+	src := rdf.NewSchema()
+	src.AddSubProperty("hasPainted", "hasCreated")
+	src.AddSubClass("painter", "artist")
+	sch := reason.NewSchema(src, st.Dict())
+	sat := reason.Saturate(st, sch)
+	var queries []*cq.Query
+	var reforms []*cq.UCQ
+	for _, text := range []string{
+		"q(X, Y) :- t(X, hasCreated, Y)",
+		"q(X, Z) :- t(X, isParentOf, Y), t(Y, hasCreated, Z)",
+		"q(X) :- t(X, rdf:type, artist)",
+	} {
+		q := p.MustParseQuery(text)
+		p.ResetNames()
+		u, err := reason.Reformulate(q, sch, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+		reforms = append(reforms, u)
+	}
+	s0, ctx, err := InitialStateUCQ(queries, reforms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, plan := range s0.Plans {
+		if _, ok := plan.(*algebra.Union); !ok {
+			t.Fatalf("query %d: initial rewriting %s is not a union", i, plan)
+		}
+	}
+	checkStateAnswersOver(t, st, sat, s0, queries)
+	rng := rand.New(rand.NewSource(5))
+	for walk := 0; walk < 4; walk++ {
+		cur := s0
+		for step := 0; step < 6; step++ {
+			var succ []*State
+			for k := StageVB; k <= StageVF; k++ {
+				ctx.enumKind(k, cur, func(ns *State) bool {
+					succ = append(succ, ns)
+					return len(succ) < 40
+				})
+			}
+			if len(succ) == 0 {
+				break
+			}
+			cur = succ[rng.Intn(len(succ))]
+			checkStateAnswersOver(t, st, sat, cur, queries)
 		}
 	}
 }

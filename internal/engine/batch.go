@@ -6,19 +6,17 @@ import (
 	"rdfviews/internal/dict"
 )
 
-// Batch-at-a-time execution protocol. Instead of pulling one register row per
-// operator call, vectorized operators (vec*.go) exchange fixed-capacity
+// Batch-at-a-time execution protocol. Operators (vec*.go) pull fixed-capacity
 // column batches: up to BatchSize rows stored as one flat []dict.ID per
 // register slot, plus an optional selection vector of live row indexes.
 // Filters narrow the selection vector without moving data; producers
 // (scans, joins, sorts) emit dense batches with a nil selection.
 //
-// Ownership follows the row protocol's convention one level up: the batch an
-// operator returns is valid only until its next nextBatch call, so every
-// serial operator reuses one owned output batch (zero allocations per batch
-// in steady state). Batches that cross goroutines — the exchange operators —
-// are leased from a shared batchPool instead and recycled by the consumer
-// once it advances past them.
+// Ownership: the batch an operator returns is valid only until its next
+// nextBatch call, so every serial operator reuses one owned output batch
+// (zero allocations per batch in steady state). Batches that cross
+// goroutines — the exchange operators — are leased from a shared batchPool
+// instead and recycled by the consumer once it advances past them.
 
 // BatchSize is the number of rows a vectorized operator processes per call.
 // 1024 rows keeps a full-width batch of a typical 4-variable pipeline at

@@ -40,7 +40,7 @@ var benchQueries = map[string]string{
 func benchBoth(b *testing.B, src string) {
 	st, p := benchData(b)
 	q := p.MustParseQuery(src)
-	want, err := evalQueryINL(st, q)
+	want, err := EvalQueryINL(st, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func benchBoth(b *testing.B, src string) {
 	}
 	b.Run("inl", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := evalQueryINL(st, q); err != nil {
+			if _, err := EvalQueryINL(st, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -125,28 +125,8 @@ func TestCancelStopsAccounting(t *testing.T) {
 		name string
 		run  func(t *testing.T) error
 	}{
-		// Row-protocol operators (the differential oracle), driven through
-		// buildOps so the cancel lands while the named operator is live.
-		{"rows/scan", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, false, fullScan, "IndexScan"))
-		}},
-		{"rows/merge-join", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, false, chain3, "MergeJoin"))
-		}},
-		{"rows/exchange", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, true, fullScan, "ParallelScan"))
-		}},
-		{"rows/gather-merge", func(t *testing.T) error {
-			return drainRowsMidCancel(t, plan(t, true, chain3, "ParallelScan", "merge=["))
-		}},
-		{"rows/hash-join-build-left", func(t *testing.T) error {
-			return drainRowsMidCancel(t, hashLeftPlan(t))
-		}},
-		{"rows/hash-join-build-right-cross", func(t *testing.T) error {
-			return drainRowsMidCancel(t, hashRightPlan(t))
-		}},
-
-		// The same shapes under the vectorized batch protocol.
+		// Store-side operators, driven through buildVecOps so the cancel lands
+		// while the named operator is live.
 		{"vec/scan", func(t *testing.T) error {
 			return drainVecMidCancel(t, plan(t, false, fullScan, "IndexScan"))
 		}},
@@ -223,12 +203,6 @@ func TestCancelStopsAccounting(t *testing.T) {
 			_, err := plan(t, false, fullScan).EvalWithOptions(ExecOptions{Ctx: ctx})
 			return err
 		}},
-		{"entry/eval-rows", func(t *testing.T) error {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_, err := plan(t, false, fullScan).EvalWithOptions(ExecOptions{Ctx: ctx, Vectorized: VecOff})
-			return err
-		}},
 		{"entry/execute", func(t *testing.T) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -264,28 +238,9 @@ func requireExplain(t *testing.T, plan *QueryPlan, marks ...string) {
 	}
 }
 
-// drainRowsMidCancel runs the row-protocol pipeline with a live interrupt,
-// pulls one row, cancels, and drains to termination, returning the context's
-// terminal error (what evalRows would surface).
-func drainRowsMidCancel(t *testing.T, plan *QueryPlan) error {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	root := plan.buildOps(newInterrupt(ctx))
-	defer closeOp(root)
-	if _, ok := root.next(); !ok {
-		t.Fatal("pipeline yielded no rows before cancellation")
-	}
-	cancel()
-	for {
-		if _, ok := root.next(); !ok {
-			break
-		}
-	}
-	return ctx.Err()
-}
-
-// drainVecMidCancel is drainRowsMidCancel for the batch protocol.
+// drainVecMidCancel runs the store-side pipeline with a live interrupt,
+// pulls one batch, cancels, and drains to termination, returning the
+// context's terminal error (what EvalWithOptions would surface).
 func drainVecMidCancel(t *testing.T, plan *QueryPlan) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -8,10 +8,9 @@ import (
 )
 
 // EvalQuery evaluates a conjunctive query over the triple store by compiling
-// it to a physical plan (planner.go) and streaming the operator pipeline
-// (operators.go). Results are distinct head tuples — the same observable
-// contract as the recursive index-nested-loop evaluator this replaced (kept
-// in inl.go as a baseline).
+// it to a physical plan (planner.go) and draining the batch operator pipeline
+// (vec.go). Results are distinct head tuples — the contract EvalQueryINL,
+// its test oracle, also meets.
 func EvalQuery(st store.Reader, q *cq.Query) (*Relation, error) {
 	p, err := PlanQuery(st, q)
 	if err != nil {

@@ -26,23 +26,10 @@ func MapResolver(m map[algebra.ViewID]*Relation) ViewResolver {
 	}
 }
 
-// VecMode selects the execution protocol. The zero value is vectorized
-// batch-at-a-time execution — the default everywhere — so that zero-valued
-// ExecOptions pick up the fast path; VecOff selects the historical
-// row-at-a-time operators, retained as the differential oracle for the
-// vectorized implementation (the way inl.go pins the planner).
-type VecMode int
-
-const (
-	// VecOn runs the batch-at-a-time operators (vec.go / vec_exec.go).
-	VecOn VecMode = iota
-	// VecOff runs the row-at-a-time oracle (operators.go / exec.go rel ops).
-	VecOff
-)
-
 // ExecOptions tunes execution of both engines: the rewriting executor
-// (Execute) and the store-side pipeline (QueryPlan.EvalWithOptions). The zero
-// value is serial vectorized execution, the default everywhere.
+// (Execute) and the store-side pipeline (QueryPlan.EvalWithOptions). Both run
+// batch-at-a-time operators; the zero value executes serially, without
+// cancellation.
 type ExecOptions struct {
 	// DOP is the degree of parallelism parallel-eligible rewriting operators
 	// run at: a hash join partitions its build extent into DOP key-hash
@@ -50,10 +37,6 @@ type ExecOptions struct {
 	// worker goroutines; a union evaluates up to DOP branches concurrently.
 	// 0 or 1 keeps every operator serial.
 	DOP int
-
-	// Vectorized selects the operator protocol: the zero value (VecOn) pulls
-	// column batches, VecOff the row-at-a-time oracle.
-	Vectorized VecMode
 
 	// Ctx, when non-nil, cancels the execution: operators poll its Done
 	// channel at per-batch checkpoints and stop scanning, and the drain
@@ -88,52 +71,46 @@ func Execute(p algebra.Plan, resolve ViewResolver) (*Relation, error) {
 }
 
 // ExecuteWithOptions is Execute with explicit execution options; the zero
-// value reproduces Execute exactly. Execution is vectorized (vec_exec.go)
-// unless Vectorized is VecOff, which selects the row-at-a-time operators
-// below — the differential oracle. With DOP > 1 large hash joins run with
+// value reproduces Execute exactly. The plan compiles to the batch-at-a-time
+// operators of vec_exec.go. With DOP > 1 large hash joins run with
 // partitioned parallel builds and fanned-out probe streams, and union
-// branches evaluate concurrently (see ExecOptions.DOP); answers are
-// identical across all modes.
+// branches evaluate concurrently (see ExecOptions.DOP); answers are identical
+// at every DOP. Output rows are arena-gathered from the root's batches, or
+// appended directly when the root operator offers the vecSink fast path.
 func ExecuteWithOptions(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (*Relation, error) {
 	opts.intr = newInterrupt(opts.Ctx)
-	if opts.Vectorized != VecOff {
-		return executeVec(p, resolve, opts)
-	}
-	root, _, err := compileRel(p, resolve, opts)
+	root, _, err := compileVecRel(p, resolve, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer closeRel(root) // release parallel workers on every exit path
+	defer closeVop(root) // release parallel workers on every exit path
 	out := NewRelation(root.cols())
-	copyRows := !root.stableRows()
-	for {
-		if opts.intr.stop() {
-			return nil, opts.ctxErr()
+	if s, ok := root.(vecSink); ok {
+		s.drainInto(out)
+		if err := opts.ctxErr(); err != nil {
+			return nil, err
 		}
-		row, ok := root.next()
+		return out, nil
+	}
+	w := len(root.cols())
+	var arena rowArena
+	for {
+		b, ok := root.nextBatch()
 		if !ok {
 			break
 		}
-		if copyRows {
-			row = append(Row(nil), row...)
+		for _, i := range b.liveSel() {
+			row := arena.alloc(w)
+			for c := 0; c < w; c++ {
+				row[c] = b.cols[c][i]
+			}
+			out.Rows = append(out.Rows, row)
 		}
-		out.Rows = append(out.Rows, row)
 	}
 	if err := opts.ctxErr(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// rop is a streaming relational operator over materialized views. An
-// operator whose stableRows() is false reuses one output buffer across
-// next() calls; consumers must copy rows they retain. Operators tolerate
-// next() calls after exhaustion (they keep reporting EOF), and operators
-// owning goroutines implement close() (see closeRel).
-type rop interface {
-	cols() []cq.Term
-	next() (Row, bool)
-	stableRows() bool
 }
 
 func termIndex(cols []cq.Term, t cq.Term) int {
@@ -164,161 +141,6 @@ func scanEst(rows float64, eqPairs int) float64 {
 		rows = math.Sqrt(rows)
 	}
 	return rows
-}
-
-// compileRel compiles a plan node to its streaming operator and the node's
-// estimated output cardinality. Leaf estimates are exact (the resolved
-// extents' row counts); inner estimates use the same containment-style
-// arithmetic the store planner uses. The estimates drive the hash joins'
-// cost-chosen build sides, the dedup size hints and the parallel-operator
-// thresholds.
-func compileRel(p algebra.Plan, resolve ViewResolver, opts ExecOptions) (rop, float64, error) {
-	switch n := p.(type) {
-	case *algebra.Scan:
-		base, err := resolve(n.View)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(n.Cols) != base.Arity() {
-			return nil, 0, fmt.Errorf("engine: scan of v%d relabels %d columns, view has %d",
-				int(n.View), len(n.Cols), base.Arity())
-		}
-		eq := repeatedLabelPairs(n.Cols)
-		op := &relScanOp{view: n.View, rows: base.Rows, labels: n.Cols, eq: eq}
-		return op, scanEst(float64(len(base.Rows)), len(eq)), nil
-	case *algebra.Select:
-		in, est, err := compileRel(n.Input, resolve, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		tests, err := compileConds(in.cols(), n.Conds)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &filterOp{in: in, tests: tests}, condsEst(est, len(n.Conds)), nil
-	case *algebra.Project:
-		in, est, err := compileRel(n.Input, resolve, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		// A filter over a large splittable extent feeds the deduplicating
-		// projection through an exchange: the predicate work fans out over
-		// DOP workers while the dedup stays at the (serial) consumer.
-		if opts.DOP > 1 && est >= parallelRewriteMinRows {
-			if f, ok := in.(*filterOp); ok {
-				if parts := splitRel(f, opts.DOP); parts != nil {
-					in = newRelExchange(f.cols(), parts, opts.DOP)
-				}
-			}
-		}
-		op, err := newProjectOp(in, n.Cols, distinctSizeHint(est))
-		if err != nil {
-			return nil, 0, err
-		}
-		return op, est, nil
-	case *algebra.Join:
-		left, lest, err := compileRel(n.Left, resolve, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		right, rest, err := compileRel(n.Right, resolve, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		shape, err := joinShape(left.cols(), right.cols(), n.Conds)
-		if err != nil {
-			return nil, 0, err
-		}
-		lIdx := make([]int, len(shape.keys))
-		rIdx := make([]int, len(shape.keys))
-		for i, k := range shape.keys {
-			lIdx[i], rIdx[i] = k.li, k.ri
-		}
-		buildLeft := enableRewriteBuildSide && cost.HashJoinBuildLeft(lest, rest)
-		est := joinOutEst(lest, rest, len(shape.keys))
-		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
-			return newParallelHashJoin(left, right, shape, lIdx, rIdx, buildLeft, opts.DOP), est, nil
-		}
-		return &hashJoinRelOp{left: left, right: right, shape: shape, lIdx: lIdx, rIdx: rIdx,
-			buildLeft: buildLeft, leftWidth: len(left.cols())}, est, nil
-	case *algebra.Union:
-		if len(n.Branches) == 0 {
-			return nil, 0, fmt.Errorf("engine: empty union")
-		}
-		branches := make([]rop, len(n.Branches))
-		sum := 0.0
-		for i, b := range n.Branches {
-			in, est, err := compileRel(b, resolve, opts)
-			if err != nil {
-				return nil, 0, err
-			}
-			if i > 0 && len(in.cols()) != len(branches[0].cols()) {
-				return nil, 0, fmt.Errorf("engine: union arity mismatch: %d vs %d",
-					len(in.cols()), len(branches[0].cols()))
-			}
-			branches[i] = in
-			sum += est
-		}
-		hint := distinctSizeHint(sum)
-		if opts.DOP > 1 && len(branches) > 1 && sum >= parallelRewriteMinRows {
-			return newParallelUnion(branches, hint, opts.DOP), sum, nil
-		}
-		return &unionOp{branches: branches, seen: newRowSet(hint)}, sum, nil
-	default:
-		return nil, 0, fmt.Errorf("engine: unknown plan node %T", p)
-	}
-}
-
-// relScanOp streams a materialized view's rows under the scan's relabeling. A
-// relabeling that repeats a label (possible after fusion renamings) implies
-// an equality filter; rows are shared with the base relation, not copied.
-// The row slice is immutable for the operator's lifetime, so a scan splits
-// into independent range sub-scans for parallel draining (see splitRel).
-type relScanOp struct {
-	view   algebra.ViewID
-	rows   []Row
-	labels []cq.Term
-	eq     [][2]int
-	i      int
-}
-
-func (s *relScanOp) cols() []cq.Term  { return s.labels }
-func (s *relScanOp) stableRows() bool { return true }
-
-func (s *relScanOp) next() (Row, bool) {
-	for s.i < len(s.rows) {
-		row := s.rows[s.i]
-		s.i++
-		ok := true
-		for _, pair := range s.eq {
-			if row[pair[0]] != row[pair[1]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return row, true
-		}
-	}
-	return nil, false
-}
-
-// split partitions the remaining rows into contiguous ranges, one sub-scan
-// per part, for parallel draining.
-func (s *relScanOp) split(parts int) []rop {
-	rows := s.rows[s.i:]
-	if parts > len(rows) {
-		parts = len(rows)
-	}
-	if parts <= 1 {
-		return nil
-	}
-	out := make([]rop, parts)
-	for p := 0; p < parts; p++ {
-		lo, hi := p*len(rows)/parts, (p+1)*len(rows)/parts
-		out[p] = &relScanOp{view: s.view, rows: rows[lo:hi], labels: s.labels, eq: s.eq}
-	}
-	return out
 }
 
 func repeatedLabelPairs(cols []cq.Term) [][2]int {
@@ -361,110 +183,6 @@ func compileConds(cols []cq.Term, conds []algebra.Cond) ([]condTest, error) {
 	return tests, nil
 }
 
-// filterOp applies equality conditions (σ) to its input stream.
-type filterOp struct {
-	in    rop
-	tests []condTest
-}
-
-func (f *filterOp) cols() []cq.Term  { return f.in.cols() }
-func (f *filterOp) stableRows() bool { return f.in.stableRows() }
-func (f *filterOp) close()           { closeRel(f.in) }
-
-func (f *filterOp) next() (Row, bool) {
-	for {
-		row, ok := f.in.next()
-		if !ok {
-			return nil, false
-		}
-		pass := true
-		for _, t := range f.tests {
-			if t.ri < 0 {
-				if row[t.li] != t.c {
-					pass = false
-					break
-				}
-			} else if row[t.li] != row[t.ri] {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			return row, true
-		}
-	}
-}
-
-// split distributes the filter over its input's split streams (the compiled
-// tests are read-only and shared), so a filtered view-extent scan fans out.
-func (f *filterOp) split(parts int) []rop {
-	ins := splitRel(f.in, parts)
-	if ins == nil {
-		return nil
-	}
-	out := make([]rop, len(ins))
-	for i, in := range ins {
-		out[i] = &filterOp{in: in, tests: f.tests}
-	}
-	return out
-}
-
-// projectOp restricts/reorders columns (π) and eliminates duplicates;
-// constant labels project as constant-valued columns.
-type projectOp struct {
-	in      rop
-	labels  []cq.Term
-	idx     []int // -1 for constant labels
-	scratch Row
-	seen    *rowSet
-}
-
-func newProjectOp(in rop, colLabels []cq.Term, sizeHint int) (*projectOp, error) {
-	inCols := in.cols()
-	idx := make([]int, len(colLabels))
-	for i, c := range colLabels {
-		if c.IsConst() {
-			idx[i] = -1
-			continue
-		}
-		j := termIndex(inCols, c)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: projection column %v not in %v", c, inCols)
-		}
-		idx[i] = j
-	}
-	return &projectOp{
-		in:      in,
-		labels:  append([]cq.Term(nil), colLabels...),
-		idx:     idx,
-		scratch: make(Row, len(colLabels)),
-		seen:    newRowSet(sizeHint),
-	}, nil
-}
-
-func (p *projectOp) cols() []cq.Term  { return p.labels }
-func (p *projectOp) stableRows() bool { return true }
-func (p *projectOp) close()           { closeRel(p.in) }
-
-func (p *projectOp) next() (Row, bool) {
-	for {
-		row, ok := p.in.next()
-		if !ok {
-			return nil, false
-		}
-		for i, j := range p.idx {
-			if j < 0 {
-				p.scratch[i] = p.labels[i].ConstID()
-			} else {
-				p.scratch[i] = row[j]
-			}
-		}
-		if kept, added := p.seen.addCopy(p.scratch); added {
-			return kept, true
-		}
-	}
-}
-
 // keyPair is one join key: left column li must equal right column ri.
 type keyPair struct{ li, ri int }
 
@@ -475,35 +193,6 @@ type joinShapeInfo struct {
 	keys      []keyPair
 	outCols   []cq.Term
 	rightKeep []int
-}
-
-// matchKeys checks the join keys between a probe row and a build row; with
-// buildLeft the probe row comes from the right input, otherwise from the
-// left. Shared by the serial and partitioned parallel hash joins.
-func (sh *joinShapeInfo) matchKeys(prow, brow Row, buildLeft bool) bool {
-	for _, k := range sh.keys {
-		if buildLeft {
-			if prow[k.ri] != brow[k.li] {
-				return false
-			}
-		} else if prow[k.li] != brow[k.ri] {
-			return false
-		}
-	}
-	return true
-}
-
-// assemble fills dst with the join's output row — left values, then the
-// kept right values — from the current probe and build rows.
-func (sh *joinShapeInfo) assemble(dst, prow, brow Row, buildLeft bool, leftWidth int) {
-	l, r := prow, brow
-	if buildLeft {
-		l, r = brow, prow
-	}
-	copy(dst, l)
-	for i, ri := range sh.rightKeep {
-		dst[leftWidth+i] = r[ri]
-	}
 }
 
 func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeInfo, error) {
@@ -536,159 +225,6 @@ func joinShape(leftCols, rightCols []cq.Term, conds []algebra.Cond) (joinShapeIn
 	return sh, nil
 }
 
-// hashJoinRelOp hash-joins two streams. The build side — chosen by
-// cost.HashJoinBuildLeft over the sides' estimated cardinalities, right by
-// default — is drained into an idTable keyed by a 64-bit key hash with
-// chained row indexes (verified by value), and the other side streams
-// through as the probe. Before paying for the build, one probe row is peeked:
-// an empty probe side makes the join empty regardless of the build extent,
-// so the build is skipped entirely. Output columns are always the left
-// columns followed by the kept right columns, whichever side builds.
-type hashJoinRelOp struct {
-	left, right rop
-	shape       joinShapeInfo
-	lIdx, rIdx  []int // key column indexes, precomputed from shape.keys
-	buildLeft   bool  // cost-chosen build side
-	leftWidth   int   // arity of the left input, for output assembly
-
-	built    bool
-	eof      bool
-	table    *idTable // key hash -> chain head, as build row index + 1
-	brows    []Row    // build-side rows (copied: they may share a buffer)
-	chains   []int32  // collision chain, same encoding as table
-	peeked   Row      // pre-build peeked probe row, replayed first
-	havePeek bool
-	prow     Row // current probe row
-	chain    int32
-	emitting bool
-	out      Row
-}
-
-func (j *hashJoinRelOp) cols() []cq.Term  { return j.shape.outCols }
-func (j *hashJoinRelOp) stableRows() bool { return false }
-
-func (j *hashJoinRelOp) close() {
-	closeRel(j.left)
-	closeRel(j.right)
-}
-
-// buildSide/probeSide orient the operator around its chosen build side.
-func (j *hashJoinRelOp) buildSide() (rop, []int) {
-	if j.buildLeft {
-		return j.left, j.lIdx
-	}
-	return j.right, j.rIdx
-}
-
-func (j *hashJoinRelOp) probeSide() (rop, []int) {
-	if j.buildLeft {
-		return j.right, j.rIdx
-	}
-	return j.left, j.lIdx
-}
-
-func (j *hashJoinRelOp) build() {
-	j.table = newIDTable(64)
-	var arena rowArena
-	in, idx := j.buildSide()
-	for {
-		row, ok := in.next()
-		if !ok {
-			break
-		}
-		h := hashValues(row, idx)
-		j.brows = append(j.brows, arena.copyRow(row))
-		j.chains = append(j.chains, j.table.get(h))
-		j.table.put(h, int32(len(j.brows)))
-	}
-	j.out = make(Row, len(j.shape.outCols))
-	j.built = true
-}
-
-func (j *hashJoinRelOp) next() (Row, bool) {
-	if j.eof {
-		return nil, false
-	}
-	if !j.built {
-		// Peek one probe row before building: a zero-row probe extent makes
-		// the join empty, so the (possibly huge) build side is never drained.
-		probe, _ := j.probeSide()
-		row, ok := probe.next()
-		if !ok {
-			j.eof = true
-			return nil, false
-		}
-		j.peeked, j.havePeek = row, true
-		j.build()
-	}
-	probe, pIdx := j.probeSide()
-	for {
-		if j.emitting {
-			for j.chain != 0 {
-				r := j.brows[j.chain-1]
-				j.chain = j.chains[j.chain-1]
-				if !j.shape.matchKeys(j.prow, r, j.buildLeft) {
-					continue
-				}
-				j.shape.assemble(j.out, j.prow, r, j.buildLeft, j.leftWidth)
-				return j.out, true
-			}
-			j.emitting = false
-		}
-		var prow Row
-		var ok bool
-		if j.havePeek {
-			prow, ok, j.havePeek = j.peeked, true, false
-		} else {
-			prow, ok = probe.next()
-		}
-		if !ok {
-			j.eof = true
-			return nil, false
-		}
-		chain := j.table.get(hashValues(prow, pIdx))
-		if chain == 0 {
-			continue
-		}
-		j.prow = prow
-		j.chain = chain
-		j.emitting = true
-	}
-}
-
-// unionOp streams the set union of its branches (∪), deduplicating across
-// branches; columns are aligned positionally and labeled by the first branch.
-// The dedup set is pre-sized from the branches' resolved cardinalities
-// (clamped by distinctSizeHint) instead of the historical fixed 64 slots.
-type unionOp struct {
-	branches []rop
-	bi       int
-	seen     *rowSet
-}
-
-func (u *unionOp) cols() []cq.Term  { return u.branches[0].cols() }
-func (u *unionOp) stableRows() bool { return true }
-
-func (u *unionOp) close() {
-	for _, b := range u.branches {
-		closeRel(b)
-	}
-}
-
-func (u *unionOp) next() (Row, bool) {
-	for u.bi < len(u.branches) {
-		row, ok := u.branches[u.bi].next()
-		if !ok {
-			u.bi++
-			continue
-		}
-		if kept, added := u.seen.addCopy(row); added {
-			return kept, true
-		}
-	}
-	return nil, false
-}
-
 // DescribePlan compiles a rewriting plan's physical shape without touching
 // view extents: the same operator choices Execute makes, with per-scan
 // cardinalities supplied by card (may be nil). It is the explain surface for
@@ -708,8 +244,8 @@ func DescribePlanWithOptions(p algebra.Plan, card func(algebra.ViewID) float64, 
 
 // selectChainOverScan reports whether the plan is a chain of selections
 // bottoming out at a view scan — the shape that compiles to a splittable
-// filterOp, which compileRel wraps in a parallel exchange under an eligible
-// projection.
+// vecFilterOp, which compileVecRel wraps in a parallel exchange under an
+// eligible projection.
 func selectChainOverScan(p algebra.Plan) bool {
 	s, ok := p.(*algebra.Select)
 	if !ok {
@@ -727,7 +263,7 @@ func selectChainOverScan(p algebra.Plan) bool {
 	}
 }
 
-// describeRel mirrors compileRel symbolically: same shapes, same estimate
+// describeRel follows compileVecRel symbolically: same shapes, same estimate
 // arithmetic, same build-side and parallelism choices, but leaf cardinalities
 // come from card instead of resolved extents. Every node carries its
 // estimated output cardinality; hash joins carry their chosen build side.
@@ -749,9 +285,7 @@ func describeRel(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOpt
 			est = scanEst(est, len(eq))
 		}
 		node := algebra.NewPhysNode("ViewScan", detail, est)
-		if opts.Vectorized != VecOff {
-			node.Batch = BatchSize
-		}
+		node.Batch = BatchSize
 		return n.Cols, node, est, nil
 	case *algebra.Select:
 		cols, child, est, err := describeRel(n.Input, card, opts)
@@ -781,14 +315,12 @@ func describeRel(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOpt
 		for i, c := range n.Cols {
 			labels[i] = c.String()
 		}
-		// Mirror compileRel's exchange under a deduplicating projection: a
+		// Mirror compileVecRel's exchange under a deduplicating projection: a
 		// large filter over a splittable extent scan fans out over DOP
 		// workers, so its Filter node carries the dop annotation.
 		if opts.DOP > 1 && est >= parallelRewriteMinRows && selectChainOverScan(n.Input) {
 			child.DOP = opts.DOP
-			if opts.Vectorized != VecOff {
-				child.Batch = BatchSize
-			}
+			child.Batch = BatchSize
 		}
 		return n.Cols, algebra.NewPhysNode("Project",
 			"["+strings.Join(labels, ",")+"] distinct", est, child), est, nil
@@ -823,9 +355,7 @@ func describeRel(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOpt
 		}
 		if opts.DOP > 1 && lest+rest >= parallelRewriteMinRows {
 			node.DOP = opts.DOP
-			if opts.Vectorized != VecOff {
-				node.Batch = BatchSize
-			}
+			node.Batch = BatchSize
 		}
 		return sh.outCols, node, est, nil
 	case *algebra.Union:
@@ -851,9 +381,7 @@ func describeRel(p algebra.Plan, card func(algebra.ViewID) float64, opts ExecOpt
 		node := algebra.NewPhysNode("Union", "distinct", sum, children...)
 		if opts.DOP > 1 && len(n.Branches) > 1 && sum >= parallelRewriteMinRows {
 			node.DOP = min(opts.DOP, len(n.Branches))
-			if opts.Vectorized != VecOff {
-				node.Batch = BatchSize
-			}
+			node.Batch = BatchSize
 		}
 		return cols, node, sum, nil
 	default:

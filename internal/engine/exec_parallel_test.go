@@ -34,21 +34,20 @@ func randomExtent(rng *rand.Rand, cols []cq.Term, n, domain int) *Relation {
 }
 
 // sameRows asserts two relations hold exactly the same rows with the same
-// multiplicities (order-insensitive) — stronger than EqualAsSet, because a
-// parallel operator must reproduce the serial operator's multiset, not just
-// its distinct rows.
-func sameRows(t *testing.T, label string, serial, parallel *Relation) {
+// multiplicities (order-insensitive) — stronger than EqualAsSet, because an
+// executor must reproduce its oracle's multiset, not just its distinct rows.
+func sameRows(t testing.TB, label string, want, got *Relation) {
 	t.Helper()
-	if serial.Len() != parallel.Len() {
-		t.Fatalf("%s: serial %d rows, parallel %d rows", label, serial.Len(), parallel.Len())
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: want %d rows, got %d rows", label, want.Len(), got.Len())
 	}
-	a := &Relation{Cols: serial.Cols, Rows: append([]Row(nil), serial.Rows...)}
-	b := &Relation{Cols: parallel.Cols, Rows: append([]Row(nil), parallel.Rows...)}
+	a := &Relation{Cols: want.Cols, Rows: append([]Row(nil), want.Rows...)}
+	b := &Relation{Cols: got.Cols, Rows: append([]Row(nil), got.Rows...)}
 	a.SortRows()
 	b.SortRows()
 	for i := range a.Rows {
 		if !rowsEqual(a.Rows[i], b.Rows[i]) {
-			t.Fatalf("%s: row %d differs: %v vs %v", label, i, a.Rows[i], b.Rows[i])
+			t.Fatalf("%s: row %d differs: want %v, got %v", label, i, a.Rows[i], b.Rows[i])
 		}
 	}
 }
@@ -105,14 +104,14 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 // side or spawn probe workers.
 func TestParallelJoinEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	empty := &relScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &relScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
+	empty := &vecRelScanOp{labels: []cq.Term{x1, x2}}
+	counted := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x2, x3}, 2000).Rows, labels: []cq.Term{x2, x3}}}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newParallelHashJoin(empty, counted, shape, []int{1}, []int{0}, false, 4)
-	if _, ok := j.next(); ok {
+	j := newVecParallelHashJoin(empty, counted, shape, []int{1}, []int{0}, false, 4, nil)
+	if _, ok := j.nextBatch(); ok {
 		t.Fatal("parallel join over empty probe returned a row")
 	}
 	if counted.calls != 0 {
@@ -141,40 +140,6 @@ func TestParallelUnionSharedDedup(t *testing.T) {
 	if r.Len() != ext.Len() {
 		t.Fatalf("parallel union of identical branches = %d rows, want %d", r.Len(), ext.Len())
 	}
-}
-
-// TestParallelExecuteAbandonedPipeline exercises close(): compiling and
-// partially draining a parallel plan, then closing it, must release every
-// worker (the race detector and goroutine scheduler catch leaks/panics).
-func TestParallelExecuteAbandonedPipeline(t *testing.T) {
-	forceParallelRewrite(t)
-	rng := rand.New(rand.NewSource(11))
-	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	views := map[algebra.ViewID]*Relation{
-		1: randomExtent(rng, []cq.Term{x1, x2}, 2000, 50),
-		2: randomExtent(rng, []cq.Term{x2, x3}, 2000, 50),
-	}
-	plan := algebra.NewUnion(
-		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
-		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
-	)
-	root, _, err := compileRel(plan, MapResolver(views), ExecOptions{DOP: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ { // pull a few rows, then walk away
-		if _, ok := root.next(); !ok {
-			break
-		}
-	}
-	closeRel(root)
-	// Closing twice is safe, as is closing a never-started pipeline.
-	closeRel(root)
-	fresh, _, err := compileRel(plan, MapResolver(views), ExecOptions{DOP: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeRel(fresh)
 }
 
 // TestDescribeParallelAnnotations pins the explain surface of the parallel

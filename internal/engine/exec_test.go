@@ -153,18 +153,17 @@ func TestExecuteErrors(t *testing.T) {
 	}
 }
 
-// countingRel counts next() calls on a wrapped operator, to observe whether
-// a side of a join was drained at all.
+// countingRel counts nextBatch() calls on a wrapped operator, to observe
+// whether a side of a join was drained at all.
 type countingRel struct {
-	in    rop
+	in    vrop
 	calls int
 }
 
-func (c *countingRel) cols() []cq.Term  { return c.in.cols() }
-func (c *countingRel) stableRows() bool { return c.in.stableRows() }
-func (c *countingRel) next() (Row, bool) {
+func (c *countingRel) cols() []cq.Term { return c.in.cols() }
+func (c *countingRel) nextBatch() (*batch, bool) {
 	c.calls++
-	return c.in.next()
+	return c.in.nextBatch()
 }
 
 // bigExtent builds an n-row two-column relation with join-friendly values.
@@ -232,16 +231,17 @@ func TestExecuteJoinBuildSideChosen(t *testing.T) {
 // in both build orientations.
 func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
-	empty := &relScanOp{labels: []cq.Term{x1, x2}}
-	counted := &countingRel{in: &relScanOp{rows: bigExtent([]cq.Term{x2, x3}, 1000).Rows, labels: []cq.Term{x2, x3}}}
+	empty := &vecRelScanOp{labels: []cq.Term{x1, x2}}
+	counted := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x2, x3}, 1000).Rows, labels: []cq.Term{x2, x3}}}
 	shape, err := joinShape(empty.cols(), counted.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// build=right: left probe is empty, the counted right build must not run.
-	j := &hashJoinRelOp{left: empty, right: counted, shape: shape,
+	j := &vecHashJoinRelOp{left: empty, right: counted, shape: shape,
 		lIdx: []int{1}, rIdx: []int{0}, leftWidth: 2}
-	if _, ok := j.next(); ok {
+	defer j.close()
+	if _, ok := j.nextBatch(); ok {
 		t.Fatal("join over empty probe returned a row")
 	}
 	if counted.calls != 0 {
@@ -252,15 +252,16 @@ func TestExecuteEmptyProbeSkipsBuild(t *testing.T) {
 	}
 
 	// build=left: right probe is empty, the counted left build must not run.
-	counted2 := &countingRel{in: &relScanOp{rows: bigExtent([]cq.Term{x1, x2}, 1000).Rows, labels: []cq.Term{x1, x2}}}
-	emptyRight := &relScanOp{labels: []cq.Term{x2, x3}}
+	counted2 := &countingRel{in: &vecRelScanOp{rows: bigExtent([]cq.Term{x1, x2}, 1000).Rows, labels: []cq.Term{x1, x2}}}
+	emptyRight := &vecRelScanOp{labels: []cq.Term{x2, x3}}
 	shape2, err := joinShape(counted2.cols(), emptyRight.cols(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := &hashJoinRelOp{left: counted2, right: emptyRight, shape: shape2,
+	j2 := &vecHashJoinRelOp{left: counted2, right: emptyRight, shape: shape2,
 		lIdx: []int{1}, rIdx: []int{0}, buildLeft: true, leftWidth: 2}
-	if _, ok := j2.next(); ok {
+	defer j2.close()
+	if _, ok := j2.nextBatch(); ok {
 		t.Fatal("build-left join over empty probe returned a row")
 	}
 	if counted2.calls != 0 {
@@ -296,11 +297,12 @@ func TestUnionDedupHintSizedFromExtents(t *testing.T) {
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 			algebra.NewScan(1, []cq.Term{x1, x2}),
 		)
-		op, _, err := compileRel(u, MapResolver(views), ExecOptions{})
+		op, _, err := compileVecRel(u, MapResolver(views), ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(op.(*unionOp).seen.index.keys)
+		defer closeVop(op)
+		return len(op.(*vecUnionOp).seen.index.keys)
 	}
 	small, big := tableSlots(smallViews), tableSlots(bigViews)
 	if big <= small {

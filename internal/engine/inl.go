@@ -6,17 +6,19 @@ import (
 	"rdfviews/internal/store"
 )
 
-// evalQueryINL is the original recursive index-nested-loop evaluator: atoms
-// are ordered greedily (most selective first, preferring atoms bound to
-// already-placed variables) and each atom is resolved through the store's
-// permutation indexes under the current partial binding held in a map.
+// EvalQueryINL is a recursive index-nested-loop evaluator: atoms are
+// ordered greedily (most selective first, preferring atoms bound to
+// already-placed variables) and each atom is resolved through
+// store.Reader.Scan under the current partial binding held in a map. Results
+// are the distinct head tuples, like EvalQuery's.
 //
-// It is superseded by the planned streaming pipeline (planner.go,
-// operators.go) but kept as a correctness oracle for property tests and as
-// the baseline of the old-vs-new benchmarks in bench_test.go. Like the
-// planned paths it reads through store.Reader, so the oracle can replay
+// Query answering uses the planned batch pipeline (planner.go, vec.go);
+// EvalQueryINL is the oracle the differential tests compare it against — it
+// shares only the greedy atom order with the planner, none of its operators,
+// register layouts or cursors — and the baseline of the benchmarks in
+// bench_test.go. It reads through store.Reader, so the oracle can replay
 // against a pinned snapshot as well as a quiesced live store.
-func evalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
+func EvalQueryINL(st store.Reader, q *cq.Query) (*Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

@@ -259,7 +259,7 @@ func TestParallelAgainstINLRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := evalQueryINL(st, q)
+		want, err := EvalQueryINL(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,8 +81,7 @@ func TestGoldenExplainDualPlacement(t *testing.T) {
 // concrete shard must be re-resolved per Instantiate binding — freezing it at
 // compile time would send every binding to the sentinel's shard and silently
 // drop answers. Each instantiation must return exactly the concrete query's
-// answers while opening exactly one of the 8 object shards, on both the
-// vectorized and row paths.
+// answers while opening exactly one of the 8 object shards.
 func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 	st := store.NewDual(8, 8)
 	d := st.Dict()
@@ -125,27 +124,25 @@ func TestCachedTemplateReroutesOnInstantiate(t *testing.T) {
 	sentinelRoute := st.Placement().Route(tmpl.steps[0].spec.perm, tmpl.steps[0].spec.pat)
 	diverged := false
 
-	for _, vec := range []VecMode{0, VecOff} {
-		for i, o := range objs {
-			inst := tmpl.Instantiate(nil, map[dict.ID]dict.ID{sentinel: o})
-			instRoute := st.Placement().Route(inst.steps[0].spec.perm, inst.steps[0].spec.pat)
-			if instRoute != sentinelRoute {
-				diverged = true
-			}
-			before := st.PruneStats().Snapshot()
-			got, err := inst.EvalWithOptions(ExecOptions{Vectorized: vec})
-			if err != nil {
-				t.Fatalf("o%d vec=%v: %v", i, vec, err)
-			}
-			after := st.PruneStats().Snapshot()
-			if opened := after.ShardsOpened - before.ShardsOpened; opened != 1 {
-				t.Fatalf("o%d vec=%v: instantiated eval opened %d shards, want 1", i, vec, opened)
-			}
-			want := st.Match(store.Pattern{store.Wildcard, pID, o})
-			if got.Len() != len(want) {
-				t.Fatalf("o%d vec=%v: cached template answered %d rows, store has %d — rerouting failed",
-					i, vec, got.Len(), len(want))
-			}
+	for i, o := range objs {
+		inst := tmpl.Instantiate(nil, map[dict.ID]dict.ID{sentinel: o})
+		instRoute := st.Placement().Route(inst.steps[0].spec.perm, inst.steps[0].spec.pat)
+		if instRoute != sentinelRoute {
+			diverged = true
+		}
+		before := st.PruneStats().Snapshot()
+		got, err := inst.Eval()
+		if err != nil {
+			t.Fatalf("o%d: %v", i, err)
+		}
+		after := st.PruneStats().Snapshot()
+		if opened := after.ShardsOpened - before.ShardsOpened; opened != 1 {
+			t.Fatalf("o%d: instantiated eval opened %d shards, want 1", i, opened)
+		}
+		want := st.Match(store.Pattern{store.Wildcard, pID, o})
+		if got.Len() != len(want) {
+			t.Fatalf("o%d: cached template answered %d rows, store has %d — rerouting failed",
+				i, got.Len(), len(want))
 		}
 	}
 	if !diverged {

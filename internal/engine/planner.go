@@ -362,7 +362,7 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 	// (build=left hash join) it; otherwise batches surface in arrival order.
 	// With one shard (the default) plans are exactly the historical serial
 	// ones. The concrete shard subset is re-resolved from the instantiated
-	// pattern at pipeline-build time (buildOps/buildVecOps): constant
+	// pattern at pipeline-build time (buildVecOps): constant
 	// substitution in cached plan templates never changes which positions
 	// are bound — so this par decision stays valid — but it does change
 	// which single shard a bound position hashes to.
@@ -410,6 +410,23 @@ func PlanQueryWithStats(st store.Reader, q *cq.Query, cards Cards) (*QueryPlan, 
 		}
 	}
 	return p, nil
+}
+
+// bindPos maps a triple position to the register slot it binds.
+type bindPos struct {
+	pos  int // 0..2: position in the scanned triple
+	slot int // register slot of the variable at that position
+}
+
+// atomSpec is the compiled access path of one body atom: the pattern of its
+// constants, the permutation to scan, and how matching triples bind into
+// registers.
+type atomSpec struct {
+	atom   cq.Atom // retained for explain only
+	pat    store.Pattern
+	perm   store.Perm
+	binds  []bindPos // first occurrence of each variable
+	checks [][2]int  // positions that must be equal (repeated variables)
 }
 
 // makeAtomSpec compiles one atom's access path: constant pattern, variable
@@ -591,45 +608,6 @@ func (p *QueryPlan) scanRoute(s *planStep) (store.Route, int) {
 	return route, route.Len()
 }
 
-// buildOps instantiates the operator pipeline. Operators are single-use:
-// each Eval call builds a fresh pipeline. The execution's interrupt is
-// threaded to every operator that loops over a cursor without returning
-// control, so a canceled context stops the scan and build drains, not just
-// the result drain above.
-func (p *QueryPlan) buildOps(intr *interrupt) op {
-	var cur op
-	for i := range p.steps {
-		s := &p.steps[i]
-		switch s.kind {
-		case stepScan:
-			route, par := p.scanRoute(s)
-			switch {
-			case par > 1 && s.parSlot >= 0:
-				cur = &gatherMergeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, slot: s.parSlot, intr: intr}
-			case par > 1:
-				cur = &exchangeOp{st: p.st, spec: s.spec, width: p.width, route: route, dop: par, intr: intr}
-			default:
-				cur = &scanOp{st: p.st, spec: s.spec, width: p.width, intr: intr}
-			}
-		case stepSort:
-			cur = &sortOp{in: cur, slot: s.joinSlot, width: p.width}
-		case stepMergeJoin:
-			cur = &mergeJoinOp{left: cur, st: p.st, spec: s.spec, slot: s.joinSlot, rpos: s.rpos,
-				extraSlots: s.extraSlots, extraPos: s.extraPos, width: p.width, intr: intr}
-		case stepHashJoin:
-			if s.buildLeft {
-				cur = &hashJoinBuildLeftOp{left: cur, st: p.st, spec: s.spec,
-					keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-				break
-			}
-			cur = &hashJoinOp{left: cur, st: p.st, spec: s.spec, keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-		default: // stepCross (a hash join with no key columns)
-			cur = &hashJoinOp{left: cur, st: p.st, spec: s.spec, keySlots: s.keySlots, keyPos: s.keyPos, width: p.width, intr: intr}
-		}
-	}
-	return cur
-}
-
 // distinctHintCap bounds the distinct set's pre-size: estimates at or above
 // it clamp to the cap (one bounded allocation) instead of being discarded —
 // the old behavior fell back to a 64-slot table and rehash-stormed on huge
@@ -656,32 +634,20 @@ func distinctSizeHint(est float64) int {
 	return int(est)
 }
 
-// Eval runs the pipeline and returns the distinct head tuples — the same
-// observable contract as the evaluator this engine replaced. Execution is
-// vectorized (vec.go) by default; EvalWithOptions selects the row-at-a-time
-// oracle.
+// Eval runs the pipeline and returns the distinct head tuples.
 func (p *QueryPlan) Eval() (*Relation, error) {
 	return p.EvalWithOptions(ExecOptions{})
 }
 
-// EvalWithOptions is Eval under explicit execution options: the zero value
-// (and any options with Vectorized != VecOff) runs the batch-at-a-time
-// pipeline, VecOff the historical row-at-a-time operators. Both produce
-// identical relations; the row path is retained as the differential oracle.
-// A canceled opts.Ctx aborts either path with ctx.Err().
+// EvalWithOptions is Eval under explicit execution options. It drains the
+// batch pipeline (vec.go): head projection reads the live rows of each batch
+// straight out of the columns into arena-copied output rows, deduplicated
+// when the head drops a body variable. A canceled opts.Ctx stops the
+// pipeline at its next checkpoint and surfaces ctx.Err().
 func (p *QueryPlan) EvalWithOptions(opts ExecOptions) (*Relation, error) {
 	opts.intr = newInterrupt(opts.Ctx)
-	if opts.Vectorized != VecOff {
-		return p.evalVec(opts)
-	}
-	return p.evalRows(opts)
-}
-
-// evalRows drains the row-protocol pipeline — the differential oracle for the
-// vectorized default.
-func (p *QueryPlan) evalRows(opts ExecOptions) (*Relation, error) {
-	root := p.buildOps(opts.intr)
-	defer closeOp(root) // release parallel-scan workers on every exit path
+	root := p.buildVecOps(opts.intr)
+	defer closeVop(root) // release parallel-scan workers on every exit path
 	out := NewRelation(p.head)
 	scratch := make(Row, len(p.head))
 	var arena rowArena
@@ -693,25 +659,36 @@ func (p *QueryPlan) evalRows(opts ExecOptions) (*Relation, error) {
 		}
 		seen = newRowSet(hint)
 	}
-	for {
-		if opts.intr.stop() {
-			return nil, opts.ctxErr()
+	// Constant head terms are filled once; per batch, the variable head
+	// columns are resolved to their register columns up front so the per-row
+	// loop is straight gathers with no slot dispatch.
+	hcols := make([][]dict.ID, 0, len(p.head))
+	hdst := make([]int, 0, len(p.head))
+	for c, s := range p.headSlots {
+		if s < 0 {
+			scratch[c] = p.headConsts[c]
+		} else {
+			hdst = append(hdst, c)
 		}
-		row, ok := root.next()
+	}
+	for {
+		b, ok := root.nextBatch()
 		if !ok {
 			break
 		}
-		for i, s := range p.headSlots {
-			if s < 0 {
-				scratch[i] = p.headConsts[i]
-			} else {
-				scratch[i] = row[s]
-			}
+		hcols = hcols[:0]
+		for _, c := range hdst {
+			hcols = append(hcols, b.cols[p.headSlots[c]])
 		}
-		if seen == nil {
-			out.Rows = append(out.Rows, arena.copyRow(scratch))
-		} else if kept, added := seen.addCopy(scratch); added {
-			out.Rows = append(out.Rows, kept)
+		for _, i := range b.liveSel() {
+			for k, c := range hdst {
+				scratch[c] = hcols[k][i]
+			}
+			if seen == nil {
+				out.Rows = append(out.Rows, arena.copyRow(scratch))
+			} else if kept, added := seen.addCopy(scratch); added {
+				out.Rows = append(out.Rows, kept)
+			}
 		}
 	}
 	if err := opts.ctxErr(); err != nil {
@@ -720,23 +697,11 @@ func (p *QueryPlan) evalRows(opts ExecOptions) (*Relation, error) {
 	return out, nil
 }
 
-// Describe returns the physical plan tree for explain surfaces, annotated
-// for the default execution mode (vectorized: scan leaves and exchanges
-// carry their batch size).
+// Describe returns the physical plan tree for explain surfaces. Operators
+// that own a batching knob — the scan leaves that decode column batches and
+// the Gather exchange that hands them between goroutines — self-describe
+// their batch size (like dop= for parallelism).
 func (p *QueryPlan) Describe() *algebra.PhysNode {
-	return p.DescribeWithOptions(ExecOptions{})
-}
-
-// DescribeWithOptions is Describe under explicit execution options: with the
-// vectorized default, operators that own a batching knob — the scan leaves
-// that decode column batches and the Gather exchange that hands them between
-// goroutines — self-describe their batch size (like dop= for parallelism);
-// VecOff renders the historical row-protocol plan unchanged.
-func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
-	batch := 0
-	if opts.Vectorized != VecOff {
-		batch = BatchSize
-	}
 	var node *algebra.PhysNode
 	for _, s := range p.steps {
 		if s.kind == stepSort {
@@ -759,12 +724,12 @@ func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
 				scan.Detail += fmt.Sprintf(" shards=%d/%d", r.Len(), r.K)
 			}
 		}
-		// Scan leaves that decode column batches under vectorized execution
-		// self-describe the batch size. A merge join's inner cursor is the
-		// exception: its group buffering consumes the cursor row-at-a-time,
-		// so its scan stays unannotated.
+		// Scan leaves that decode column batches self-describe the batch
+		// size. A merge join's inner cursor is the exception: its group
+		// buffering consumes the cursor triple-at-a-time, so its scan stays
+		// unannotated.
 		if s.kind != stepMergeJoin {
-			scan.Batch = batch
+			scan.Batch = BatchSize
 		}
 		switch s.kind {
 		case stepScan:
@@ -777,7 +742,7 @@ func (p *QueryPlan) DescribeWithOptions(opts ExecOptions) *algebra.PhysNode {
 				}
 				gather := algebra.NewPhysNode("Gather", detail, s.est, scan)
 				gather.DOP = s.par
-				gather.Batch = batch
+				gather.Batch = BatchSize
 				node = gather
 			}
 		case stepMergeJoin:

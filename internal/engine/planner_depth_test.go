@@ -120,7 +120,7 @@ func TestPlanDepthAgainstINLShapes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("depth=%v layout=%d/%d %s: %v", depth, lay.subjectK, lay.objectK, src, err)
 				}
-				want, err := evalQueryINL(st, q)
+				want, err := EvalQueryINL(st, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +150,7 @@ func TestPlanBuildSideChoice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := evalQueryINL(st, q)
+		want, err := EvalQueryINL(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,9 @@ func assertSameAnswers(t *testing.T, st *store.Store, q *cq.Query) {
 	if err != nil {
 		t.Fatalf("EvalQuery(%s): %v", q, err)
 	}
-	inl, err := evalQueryINL(st, q)
+	inl, err := EvalQueryINL(st, q)
 	if err != nil {
-		t.Fatalf("evalQueryINL(%s): %v", q, err)
+		t.Fatalf("EvalQueryINL(%s): %v", q, err)
 	}
 	if !got.EqualAsSet(inl) {
 		t.Fatalf("pipeline vs INL mismatch for %s: %d vs %d rows", q, got.Len(), inl.Len())
@@ -296,7 +296,7 @@ func TestPlanPipelineAgainstINLRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := evalQueryINL(st, q)
+		want, err := EvalQueryINL(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

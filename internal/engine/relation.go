@@ -12,6 +12,7 @@ import (
 
 	"rdfviews/internal/cq"
 	"rdfviews/internal/dict"
+	"rdfviews/internal/store"
 )
 
 // Row is one result tuple of dictionary-encoded values.
@@ -126,6 +127,16 @@ func hashValues(row Row, idx []int) uint64 {
 	h := hashSeed
 	for _, i := range idx {
 		h = hashMix(h, uint64(row[i]))
+	}
+	return h
+}
+
+// hashIDs hashes the triple values at the given positions, consistently with
+// hashValues so build and probe sides agree.
+func hashIDs(t store.Triple, pos []int) uint64 {
+	h := hashSeed
+	for _, p := range pos {
+		h = hashMix(h, uint64(t[p]))
 	}
 	return h
 }

@@ -8,19 +8,40 @@ import (
 	"rdfviews/internal/store"
 )
 
-// Vectorized counterparts of the row operators in operators.go and sort.go:
-// the same physical algebra — index scans, multi-key merge joins, hash joins
-// with either build side, explicit sorts — pulling column batches (batch.go)
-// instead of single rows. Scans amortize cursor decode over Cursor.NextBatch,
-// repeated-variable checks compact a selection vector branch-free, and hash
-// joins hash whole key columns and probe the idTable with one batched call.
-// QueryPlan.Eval runs this pipeline by default; the row operators stay live
-// behind ExecOptions.Vectorized as the differential oracle.
+// The store-side executor: pull-based physical operators over the triple
+// store's permutation indexes, pulling column batches (batch.go). A batch
+// holds one column per register slot — the planner's compact variable
+// numbering — so the hot path touches no maps and hashes no strings.
 //
-// Ownership mirrors the row protocol one level up: a returned batch is valid
-// only until the next nextBatch call. Serial operators therefore reuse one
-// owned output batch; only the exchange operators (vec_parallel.go) lease
-// pool batches across goroutines.
+// Operator set (chosen by the planner in planner.go):
+//
+//   - vecScanOp: an index scan of one permutation range, binding triple
+//     positions into register columns;
+//   - vecMergeJoinOp: joins a pipeline sorted on one register slot with an
+//     atom cursor sorted on the matching triple position, buffering one
+//     equal-key run of the right side at a time; further shared variables
+//     are residual equality checks against each group triple;
+//   - vecSortOp: materializes the pipeline and re-emits it ordered by one
+//     register slot — the sort-break operator that makes merge joins
+//     available again further down a chain;
+//   - vecHashJoinOp: builds a hash table over the atom's matching triples and
+//     probes it with the streaming left pipeline; with no key columns it
+//     degrades to the Cartesian product a disconnected query requires;
+//   - vecHashJoinBuildLeftOp: the flipped build side — the pipeline is
+//     drained into the table and the atom's cursor streams through as the
+//     probe;
+//   - vecExchangeOp / vecGatherMergeOp (vec_parallel.go): the shard fan-out
+//     of a driving scan over a sharded store.
+//
+// Scans amortize cursor decode over Cursor.NextBatch, repeated-variable
+// checks compact a selection vector branch-free, and hash joins hash whole
+// key columns and probe the idTable with one batched call. Projection and
+// duplicate elimination happen at the drain site (QueryPlan.EvalWithOptions,
+// EvalStream) against a rowSet.
+//
+// A returned batch is valid only until the next nextBatch call. Serial
+// operators therefore reuse one owned output batch; only the exchange
+// operators (vec_parallel.go) lease pool batches across goroutines.
 
 // vop is a pull-based operator yielding column batches. Returned batches
 // always have at least one live row; EOF is the false return.
@@ -192,12 +213,16 @@ func (s *vecScanOp) nextBatch() (*batch, bool) {
 	}
 }
 
-// vecMergeJoinOp is mergeJoinOp over batches: the left pipeline arrives
-// sorted on register slot slot, the atom's cursor is sorted on triple
-// position rpos, and one equal-key run of right triples is buffered per key.
-// Repeated-variable checks are applied once while buffering the group (the
-// row operator re-checks per emission); residual shared variables
-// (extraSlots/extraPos) are checked per output row against the left batch.
+// vecMergeJoinOp merge-joins a left pipeline sorted on register slot slot
+// with the atom's cursor sorted on triple position rpos (the planner picks a
+// permutation that lists the atom's constants, then rpos). One equal-key run
+// of right triples is buffered per key, so duplicate keys on either side
+// produce the full cross-combination. Repeated-variable checks are applied
+// once while buffering the group. When the atom shares more than one
+// variable with the pipeline, the remaining shared variables
+// (extraSlots/extraPos) are residual equality checks per output row against
+// the left batch — the multi-key generalization that keeps merge joins
+// available for star and cycle shapes.
 // Emission carries resume state (gi) so a left-row × group cross product can
 // span output batches.
 type vecMergeJoinOp struct {
@@ -371,12 +396,13 @@ func (m *vecMergeJoinOp) emitGroup(out *batch) {
 	m.emitting = false
 }
 
-// vecHashJoinOp is hashJoinOp over batches: the atom's matching triples are
-// built into an idTable (decoded batch-at-a-time), then each left batch is
-// probed columnar — key hashes computed column by column over the live rows,
-// chain heads fetched with one getBatch call — and matches emit with resume
-// state so a probe row's chain can span output batches. With no key columns
-// it degrades to the Cartesian product, exactly like the row operator.
+// vecHashJoinOp builds the atom's matching triples into an idTable keyed by a
+// 64-bit hash of the shared variables' positions (decoded batch-at-a-time,
+// chained by triple index, verified by value), then probes each left batch
+// columnar — key hashes computed column by column over the live rows, chain
+// heads fetched with one getBatch call — and matches emit with resume state
+// so a probe row's chain can span output batches. With no key columns every
+// triple lands in one chain and the operator computes the Cartesian product.
 type vecHashJoinOp struct {
 	left      vop
 	st        store.Reader
@@ -560,11 +586,15 @@ func (j *vecHashJoinOp) emitChain(out *batch) {
 	j.emitting = j.chain != 0
 }
 
-// vecHashJoinBuildLeftOp is hashJoinBuildLeftOp over batches: the left
-// pipeline drains into the hash table (only the bound slots of each live row
-// are gathered into arena rows) and the atom's cursor streams through as the
-// probe — decoded batch-at-a-time, checks compacted into a probe selection,
-// key hashes and chain heads computed for the whole probe batch up front.
+// vecHashJoinBuildLeftOp is the hash join with the build side flipped: the
+// planner chooses it when the pipeline-so-far is estimated much smaller than
+// the atom's extent. The left pipeline drains into the hash table (only the
+// bound slots of each live row are gathered into arena rows) and the atom's
+// cursor streams through as the probe — decoded batch-at-a-time, checks
+// compacted into a probe selection, key hashes and chain heads computed for
+// the whole probe batch up front. Output order follows the probe cursor's
+// permutation, so the planner can pick the permutation's post-prefix column
+// to establish a new sort order for downstream merges.
 type vecHashJoinBuildLeftOp struct {
 	left      vop
 	st        store.Reader
@@ -747,10 +777,16 @@ func (j *vecHashJoinBuildLeftOp) emitChain(out *batch) {
 	j.emitting = false
 }
 
-// vecSortOp is sortOp over batches: the input's live rows are gathered into
-// per-slot materialized columns (only the slots bound so far), a permutation
-// of row indexes is sorted on the key slot, and output batches gather through
-// the permutation — columnar both ways, with no per-row Row allocation.
+// vecSortOp is the explicit Sort physical operator. The planner inserts it
+// at a "sort break" — the point in a left-deep pipeline where the next atom
+// shares variables with the rows produced so far but none of them is the
+// slot the pipeline is currently sorted on — so that a merge join against the
+// atom's already-sorted permutation cursor becomes available again. The
+// input's live rows are gathered into per-slot materialized columns (only the
+// slots bound so far), a permutation of row indexes is sorted on the key
+// slot, and output batches gather through the permutation — columnar both
+// ways, with no per-row Row allocation. Downstream operators depend solely on
+// the slot being non-decreasing.
 type vecSortOp struct {
 	in    vop
 	slot  int   // register slot the output is ordered by
@@ -821,8 +857,8 @@ func (s *vecSortOp) nextBatch() (*batch, bool) {
 	return out, true
 }
 
-// buildVecOps instantiates the vectorized operator pipeline — the same
-// physical choices as buildOps, batch protocol instead of rows. bound tracks
+// buildVecOps instantiates the operator pipeline. Operators are single-use:
+// each Eval call builds a fresh pipeline. bound tracks
 // the register slots the pipeline has bound so far: joins and sorts copy (or
 // materialize) exactly those slots, leaving the rest of each batch stale.
 // intr (nil for uncancellable executions) reaches the operators that loop
@@ -870,60 +906,4 @@ func (p *QueryPlan) buildVecOps(intr *interrupt) vop {
 		}
 	}
 	return cur
-}
-
-// evalVec drains the vectorized pipeline: head projection reads the live rows
-// of each batch straight out of the columns, with the same arena-copied
-// output and distinct semantics as the row drain. A canceled opts.Ctx stops
-// the pipeline at its next checkpoint and surfaces ctx.Err().
-func (p *QueryPlan) evalVec(opts ExecOptions) (*Relation, error) {
-	root := p.buildVecOps(opts.intr)
-	defer closeVop(root) // release parallel-scan workers on every exit path
-	out := NewRelation(p.head)
-	scratch := make(Row, len(p.head))
-	var arena rowArena
-	var seen *rowSet
-	if p.distinct {
-		hint := 64
-		if len(p.steps) > 0 {
-			hint = distinctSizeHint(p.steps[0].est)
-		}
-		seen = newRowSet(hint)
-	}
-	// Constant head terms are filled once; per batch, the variable head
-	// columns are resolved to their register columns up front so the per-row
-	// loop is straight gathers with no slot dispatch.
-	hcols := make([][]dict.ID, 0, len(p.head))
-	hdst := make([]int, 0, len(p.head))
-	for c, s := range p.headSlots {
-		if s < 0 {
-			scratch[c] = p.headConsts[c]
-		} else {
-			hdst = append(hdst, c)
-		}
-	}
-	for {
-		b, ok := root.nextBatch()
-		if !ok {
-			break
-		}
-		hcols = hcols[:0]
-		for _, c := range hdst {
-			hcols = append(hcols, b.cols[p.headSlots[c]])
-		}
-		for _, i := range b.liveSel() {
-			for k, c := range hdst {
-				scratch[c] = hcols[k][i]
-			}
-			if seen == nil {
-				out.Rows = append(out.Rows, arena.copyRow(scratch))
-			} else if kept, added := seen.addCopy(scratch); added {
-				out.Rows = append(out.Rows, kept)
-			}
-		}
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -10,47 +10,41 @@ import (
 	"rdfviews/internal/store"
 )
 
-// Row-vs-batch benchmarks: the same plan executed through the row-at-a-time
-// oracle (Vectorized: VecOff) and the default batch protocol. Results are
-// recorded in BENCH_engine.json / BENCH_shards.json / BENCH_rewrite.json.
+// Batch-protocol benchmarks. Each one first checks the plan's answer
+// against an independent oracle — EvalQueryINL for store queries,
+// naiveExecute for rewritings — and then times the batch executor. Results
+// are recorded in BENCH_engine.json / BENCH_shards.json / BENCH_rewrite.json.
 
-// benchRowVsBatch verifies both modes agree, then times each.
-func benchRowVsBatch(b *testing.B, st *store.Store, q *cq.Query) {
+// benchBatch checks the plan against the INL oracle, then times it.
+func benchBatch(b *testing.B, st *store.Store, q *cq.Query) {
 	b.Helper()
 	plan, err := PlanQuery(st, q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, err := plan.EvalWithOptions(ExecOptions{Vectorized: VecOff})
+	want, err := EvalQueryINL(st, q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batchR, err := plan.EvalWithOptions(ExecOptions{})
+	got, err := plan.Eval()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if rows.Len() != batchR.Len() || !rows.EqualAsSet(batchR) {
-		b.Fatalf("row/batch disagree: %d vs %d rows", rows.Len(), batchR.Len())
-	}
-	for _, mode := range []struct {
-		name string
-		opts ExecOptions
-	}{{"rows", ExecOptions{Vectorized: VecOff}}, {"batch", ExecOptions{}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalWithOptions(mode.opts); err != nil {
-					b.Fatal(err)
-				}
+	sameAnswers(b, q.String(), want, got)
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.Eval(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkVecFullScan: the serial full scan — pure cursor decode + bind,
 // where batched decode amortizes the most per-row overhead.
 func BenchmarkVecFullScan(b *testing.B) {
 	st, p := benchData(b)
-	benchRowVsBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
+	benchBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
 }
 
 // BenchmarkVecChain4: the planner-benchmark chain of four atoms (sort-merge
@@ -58,7 +52,7 @@ func BenchmarkVecFullScan(b *testing.B) {
 // every operator kind.
 func BenchmarkVecChain4(b *testing.B) {
 	st, q := benchPlannerChain(b)
-	benchRowVsBatch(b, st, q)
+	benchBatch(b, st, q)
 }
 
 // BenchmarkVecSkewedHashJoin: a value join over hub-skewed data (500 edges
@@ -79,48 +73,40 @@ func BenchmarkVecSkewedHashJoin(b *testing.B) {
 	}
 	st.Count(store.Pattern{})
 	q := cq.NewParser(d).MustParseQuery("q(X, Z, D) :- t(X, p0, Y), t(X, p2, D), t(Z, p1, Y)")
-	benchRowVsBatch(b, st, q)
+	benchBatch(b, st, q)
 }
 
-// BenchmarkVecShardFullScan: the 4-shard full scan whose row-mode exchange
-// overhead BENCH_shards.json recorded at 26%; row mode now forwards recycled
-// row slabs, batch mode forwards column batches.
+// BenchmarkVecShardFullScan: the 4-shard full scan through the exchange,
+// whose workers forward pooled column batches.
 func BenchmarkVecShardFullScan(b *testing.B) {
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
 	defer func() { parallelScanMinRows = oldMin }()
 	st, p := benchShardedData(b, 4)
-	benchRowVsBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
+	benchBatch(b, st, p.MustParseQuery("q(X, P, Y) :- t(X, P, Y)"))
 }
 
 // BenchmarkVecRewriteUnion: the rewriting executor's 4-branch union of hash
-// joins over view extents, row oracle vs batch protocol, serial.
+// joins over view extents, serial, checked against the naive interpreter.
 func BenchmarkVecRewriteUnion(b *testing.B) {
 	views, union := rewriteBenchFixture(b)
 	resolve := MapResolver(views)
-	rows, err := ExecuteWithOptions(union, resolve, ExecOptions{Vectorized: VecOff})
+	want, err := naiveExecute(union, views)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batchR, err := ExecuteWithOptions(union, resolve, ExecOptions{})
+	got, err := Execute(union, resolve)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if rows.Len() != batchR.Len() || !rows.EqualAsSet(batchR) {
-		b.Fatalf("row/batch disagree: %d vs %d rows", rows.Len(), batchR.Len())
-	}
-	for _, mode := range []struct {
-		name string
-		opts ExecOptions
-	}{{"rows", ExecOptions{Vectorized: VecOff}}, {"batch", ExecOptions{}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteWithOptions(union, resolve, mode.opts); err != nil {
-					b.Fatal(err)
-				}
+	sameAnswers(b, "rewrite union", want, got)
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Execute(union, resolve); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMulticoreScaling is the env-gated multicore target: it re-records

@@ -11,10 +11,11 @@ import (
 	"rdfviews/internal/store"
 )
 
-// Row-vs-batch differentials: the vectorized executors must reproduce the
-// row-at-a-time oracle's exact row multiset on every shape, store layout and
-// DOP. The oracle is selected with ExecOptions{Vectorized: VecOff}; the
-// default is the batch protocol.
+// Oracle differentials: the batch executors must reproduce an independent
+// evaluator's exact row multiset on every shape, store layout and DOP. Store
+// queries are checked against EvalQueryINL (store.Reader.Scan under a map
+// binding, none of the planner's operators or cursors); rewritings against
+// naiveExecute (nested loops over the extents, no engine operators).
 
 // diffStores builds the flat, 4-shard and 4×4 dual-partitioned variants of
 // the standard 20k-triple dataset, with a few self-loop edges added so the
@@ -40,10 +41,10 @@ func diffStores(t *testing.T) (flat, sharded, dual *store.Store) {
 
 // TestVectorizedEvalMatchesRows is the store-side matrix: nine query shapes
 // (scans, chains, stars, a five-atom mix, a value join, a self-loop) over the
-// flat, 4-shard and 4×4 dual-partitioned stores, vectorized vs row oracle,
-// multiset-exact. The parallel-scan threshold is dropped so the sharded runs
-// exercise the exchange and ordered-gather operators in both protocols, over
-// both partition sides on the dual layout.
+// flat, 4-shard and 4×4 dual-partitioned stores, batch pipeline vs the INL
+// oracle, multiset-exact with columns aligned by label. The parallel-scan
+// threshold is dropped so the sharded runs exercise the exchange and
+// ordered-gather operators, over both partition sides on the dual layout.
 func TestVectorizedEvalMatchesRows(t *testing.T) {
 	oldMin := parallelScanMinRows
 	parallelScanMinRows = 0
@@ -70,25 +71,26 @@ func TestVectorizedEvalMatchesRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: plan: %v", layout, name, err)
 			}
-			rows, err := plan.EvalWithOptions(ExecOptions{Vectorized: VecOff})
+			want, err := EvalQueryINL(st, q)
 			if err != nil {
-				t.Fatalf("%s/%s: row oracle: %v", layout, name, err)
+				t.Fatalf("%s/%s: INL oracle: %v", layout, name, err)
 			}
-			vec, err := plan.EvalWithOptions(ExecOptions{})
+			got, err := plan.Eval()
 			if err != nil {
-				t.Fatalf("%s/%s: vectorized: %v", layout, name, err)
+				t.Fatalf("%s/%s: batch pipeline: %v", layout, name, err)
 			}
-			if name == "self-loop" && rows.Len() == 0 {
+			if name == "self-loop" && want.Len() == 0 {
 				t.Fatalf("%s/self-loop: fixture lost its self edges", layout)
 			}
-			sameRows(t, layout+"/"+name, rows, vec)
+			sameAnswers(t, layout+"/"+name, want, got)
 		}
 	}
 }
 
 // TestVectorizedExecuteMatchesRows is the rewriting-executor matrix: the same
-// nine plan shapes as the serial-vs-parallel differential, run row-vs-batch
-// at DOP 1, 2 and 4, multiset-exact.
+// nine plan shapes as the serial-vs-parallel differential, batch executor at
+// DOP 1, 2 and 4 vs the naive plan interpreter, multiset-exact with columns
+// aligned by label.
 func TestVectorizedExecuteMatchesRows(t *testing.T) {
 	forceParallelRewrite(t)
 	rng := rand.New(rand.NewSource(19))
@@ -117,22 +119,25 @@ func TestVectorizedExecuteMatchesRows(t *testing.T) {
 		"project-union": algebra.NewProject(algebra.NewUnion(algebra.NewJoin(s1(), s2()), algebra.NewJoin(s3(), s2())), []cq.Term{x1, x3}),
 	}
 	for name, plan := range plans {
+		want, err := naiveExecute(plan, views)
+		if err != nil {
+			t.Fatalf("%s: naive oracle: %v", name, err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%s: oracle answer is empty; fixture proves nothing", name)
+		}
 		for _, dop := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s dop=%d", name, dop)
-			rows, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop, Vectorized: VecOff})
+			got, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
 			if err != nil {
-				t.Fatalf("%s: row oracle: %v", label, err)
+				t.Fatalf("%s: batch executor: %v", label, err)
 			}
-			vec, err := ExecuteWithOptions(plan, MapResolver(views), ExecOptions{DOP: dop})
-			if err != nil {
-				t.Fatalf("%s: vectorized: %v", label, err)
-			}
-			sameRows(t, label, rows, vec)
+			sameAnswers(t, label, want, got)
 		}
 	}
 }
 
-// TestVectorizedAbandonedPipeline closes partially drained vectorized
+// TestVectorizedAbandonedPipeline closes partially drained and never-started
 // pipelines — serial and parallel, both executors — and checks every worker
 // is released (the race detector and goroutine scheduler catch leaks).
 func TestVectorizedAbandonedPipeline(t *testing.T) {
@@ -156,6 +161,12 @@ func TestVectorizedAbandonedPipeline(t *testing.T) {
 	}
 	closeVop(root)
 	closeVop(root) // closing twice is safe
+	// So is closing a pipeline that never started its workers.
+	fresh, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeVop(fresh)
 
 	// Store-side: abandon a sharded vectorized scan mid-stream.
 	oldMin := parallelScanMinRows
@@ -173,4 +184,5 @@ func TestVectorizedAbandonedPipeline(t *testing.T) {
 	}
 	closeVop(vroot)
 	closeVop(vroot)
+	closeVop(qp.buildVecOps(nil))
 }

@@ -6,12 +6,27 @@ import (
 	"rdfviews/internal/cq"
 )
 
-// Parallel vectorized rewriting execution: the batch-protocol counterparts of
-// exec_parallel.go's operators. Workers exchange pooled column batches — one
-// channel send per up-to-BatchSize rows instead of per 256-row slab of
-// arena-copied rows — and the consumer recycles each batch into the pool as
-// it advances, so steady-state parallel rewriting allocates nothing per
-// batch.
+// Parallel rewriting execution over view extents: the answering-tier
+// counterpart of the store-side exchange operators in vec_parallel.go. Three
+// shapes exist, all selected by ExecOptions.DOP at compile time and all
+// producing exactly the serial operators' row multisets:
+//
+//   - vecRelExchangeOp fans a set of independent substreams (range-split
+//     view-extent scans, filters over them, or whole union branches) out over
+//     worker goroutines feeding one shared channel;
+//   - vecParallelUnionOp evaluates union branches concurrently through an
+//     exchange and deduplicates at the consumer against one shared rowSet;
+//   - vecParallelHashJoinRelOp partitions its build extent by key hash into
+//     DOP partitions whose hash tables are built concurrently, then fans the
+//     probe stream out over worker goroutines that probe the read-only
+//     partitions.
+//
+// Workers exchange pooled column batches — one channel send per up-to-
+// BatchSize rows — and the consumer recycles each batch into the pool as it
+// advances, so steady-state parallel rewriting allocates nothing per batch.
+// Workers run to completion when the plan is drained; close() (deferred by
+// ExecuteWithOptions and RowStream.Close) releases them early if the pipeline
+// is abandoned.
 
 // drainVecRelTo streams one operator's live rows into out as dense pooled
 // batches, stopping early when done closes; it reports whether the source was
@@ -251,6 +266,16 @@ func (u *vecParallelUnionOp) nextBatch() (*batch, bool) {
 			}
 		}
 	}
+}
+
+// joinPartition is one key-hash partition of a parallel hash join's build
+// side: the same idTable + chain scheme vecHashJoinRelOp uses, immutable once
+// built, so probe workers read it without locks.
+type joinPartition struct {
+	table  *idTable
+	rows   []Row
+	hashes []uint64
+	chains []int32
 }
 
 // vecParallelHashJoinRelOp is the partitioned parallel hash join over batch

@@ -7,13 +7,25 @@ import (
 	"rdfviews/internal/store"
 )
 
-// Vectorized exchange operators: the batch-protocol counterparts of
-// exchangeOp and gatherMergeOp in parallel.go. Shard workers decode and bind
-// whole column batches and hand each one over the channel in a single send —
-// one handoff per BatchSize rows instead of per 256-row slab — and the
-// batches themselves are leased from a shared batchPool, recycled by the
-// consumer as it advances, so steady-state parallel scans allocate nothing
-// per batch.
+// Exchange-style parallel scans: when the store is sharded, the planner
+// replaces the driving index scan of a pipeline with a fan-out that opens one
+// shard-local cursor per partition on its own goroutine. Two gather shapes
+// exist, mirroring classic exchange operators:
+//
+//   - vecExchangeOp collects batches from all workers over one channel in
+//     arrival order — used when nothing downstream depends on the scan's
+//     sort order (hash joins, plain projection);
+//   - vecGatherMergeOp keeps one channel per worker and merges their streams
+//     on the pipeline's sort slot. Each shard cursor emits in permutation
+//     order, so the merge restores the global order a downstream merge join
+//     requires.
+//
+// Shard workers decode and bind whole column batches and hand each one over
+// the channel in a single send; the batches are leased from a shared
+// batchPool and recycled by the consumer as it advances, so steady-state
+// parallel scans allocate nothing per batch. Workers run to completion when
+// the pipeline is drained; close() (deferred by every drain) releases them
+// early if the pipeline is abandoned.
 
 // vecScanShard streams one routed shard's matching triples as pooled column
 // batches: worker k of a fan-out opens the route's k-th shard. It returns
@@ -211,7 +223,8 @@ func (g *vecGatherMergeOp) nextBatch() (*batch, bool) {
 	out.reset()
 	for out.n < BatchSize {
 		// Only live streams are consulted: a stream that reports EOF is
-		// swap-removed from the live set (same scheme as gatherMergeOp).
+		// swap-removed from the live set, so a wide fan-out whose shards
+		// drain at different rates stops re-polling exhausted heads.
 		best := -1
 		var bestKey dict.ID
 		for k := 0; k < len(g.live); {
