@@ -142,6 +142,40 @@ func TestParallelUnionSharedDedup(t *testing.T) {
 	}
 }
 
+// TestParallelExecuteAbandonedPipeline exercises close(): compiling and
+// partially draining a parallel plan, then closing it, must release every
+// worker (the race detector and goroutine scheduler catch leaks/panics).
+func TestParallelExecuteAbandonedPipeline(t *testing.T) {
+	forceParallelRewrite(t)
+	rng := rand.New(rand.NewSource(11))
+	x1, x2, x3 := cq.Var(1), cq.Var(2), cq.Var(3)
+	views := map[algebra.ViewID]*Relation{
+		1: randomExtent(rng, []cq.Term{x1, x2}, 2000, 50),
+		2: randomExtent(rng, []cq.Term{x2, x3}, 2000, 50),
+	}
+	plan := algebra.NewUnion(
+		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
+		algebra.NewJoin(algebra.NewScan(1, []cq.Term{x1, x2}), algebra.NewScan(2, []cq.Term{x2, x3})),
+	)
+	root, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // pull a few batches, then walk away
+		if _, ok := root.nextBatch(); !ok {
+			break
+		}
+	}
+	closeVop(root)
+	// Closing twice is safe, as is closing a never-started pipeline.
+	closeVop(root)
+	fresh, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeVop(fresh)
+}
+
 // TestDescribeParallelAnnotations pins the explain surface of the parallel
 // executor: at DOP > 1 eligible hash joins and unions render dop=N, and the
 // join's cost-chosen build side is rendered either way.

@@ -161,12 +161,6 @@ func TestVectorizedAbandonedPipeline(t *testing.T) {
 	}
 	closeVop(root)
 	closeVop(root) // closing twice is safe
-	// So is closing a pipeline that never started its workers.
-	fresh, _, err := compileVecRel(plan, MapResolver(views), ExecOptions{DOP: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeVop(fresh)
 
 	// Store-side: abandon a sharded vectorized scan mid-stream.
 	oldMin := parallelScanMinRows
